@@ -20,12 +20,7 @@ from .cascade import (
     trial_rng,
     validate_redistribution_limit,
 )
-from .graph import (
-    GraphTopology,
-    RedistributionWeights,
-    generate_er_graph,
-    normalize_adjacency,
-)
+from .graph import GraphTopology, generate_er_graph
 from .meanfield import (
     MeanFieldState,
     Verdict,
@@ -57,7 +52,6 @@ __all__ = [
     "MeanFieldState",
     "NonMonotoneError",
     "RedistributionLimitCheck",
-    "RedistributionWeights",
     "ThresholdResult",
     "UniformLoads",
     "UnimodalSweepRow",
@@ -71,7 +65,6 @@ __all__ = [
     "init_loads",
     "init_recursion",
     "monte_carlo",
-    "normalize_adjacency",
     "recursion_step",
     "run_bimodal",
     "run_cascade",

@@ -3,12 +3,15 @@
 A cascade starts from per-node loads (initial distribution plus one
 exponential disturbance at stage 0) and proceeds in synchronous stages:
 nodes at or above capacity 1 fail, their load is split equally among their
-alive non-failing neighbors, edges to dead nodes are removed, and the next
-stage begins. The process stops at the first stage with no failures.
+alive non-failing neighbors, and the next stage begins. Dead nodes never
+receive load again. The process stops at the first stage with no failures.
 
-Simultaneously failing nodes do not transfer load to each other: edges
-inside the failing set are removed before redistribution. A failing node
-with no alive neighbor simply drops its load.
+Simultaneously failing nodes do not transfer load to each other. A failing
+node with no alive non-failing neighbor simply drops its load.
+
+The graph is never copied or written. On a complete graph every failing node
+neighbors every receiver, so each stage is one shared increment instead of
+a matrix-vector product.
 """
 
 from __future__ import annotations
@@ -80,8 +83,10 @@ def init_loads(n: int, spec: LoadDistributionSpec, rng: np.random.Generator) -> 
 
 def apply_disturbance(loads: np.ndarray, d_m: float, rng: np.random.Generator) -> np.ndarray:
     """Add independent Exponential(mean d_m) shocks to every node."""
-    if d_m <= 0:
-        raise ValueError(f"disturbance mean must be > 0, got {d_m}")
+    if not (math.isfinite(d_m) and d_m > 0):
+        raise ValueError(f"disturbance mean must be finite and > 0, got {d_m}")
+    if not np.isfinite(loads).all():
+        raise ValueError("loads must be finite")
     return loads + rng.exponential(d_m, size=loads.shape)
 
 
@@ -89,30 +94,31 @@ def apply_disturbance(loads: np.ndarray, d_m: float, rng: np.random.Generator) -
 
 @dataclass
 class CascadeState:
-    """Mutable snapshot of a running cascade.
+    """Mutable snapshot of a running cascade on a fixed graph.
 
-    ``adjacency`` is a working copy; edges disappear as nodes die. Dead
-    nodes carry load 0.
+    The graph is shared, never copied or written: dead nodes are masked out
+    by ``alive`` rather than losing their edges. Dead nodes carry load 0.
     """
 
+    graph: GraphTopology
     loads: np.ndarray
     alive: np.ndarray
     stage: int
-    adjacency: np.ndarray
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        return self.graph.adjacency
 
     @classmethod
     def from_graph(cls, g: GraphTopology, loads: np.ndarray) -> "CascadeState":
         loads = np.asarray(loads, dtype=np.float64)
         if loads.shape != (g.n,):
             raise ValueError(f"expected {g.n} loads, got shape {loads.shape}")
+        if not np.isfinite(loads).all():
+            raise ValueError("loads must be finite")
         if np.any(loads < 0):
             raise ValueError("loads must be nonnegative")
-        return cls(
-            loads=loads.copy(),
-            alive=np.ones(g.n, dtype=bool),
-            stage=0,
-            adjacency=g.adjacency.copy(),
-        )
+        return cls(graph=g, loads=loads.copy(), alive=np.ones(g.n, dtype=bool), stage=0)
 
 
 @dataclass(frozen=True)
@@ -134,10 +140,10 @@ def step_cascade(state: CascadeState) -> tuple[CascadeState, int]:
     terminated).
     """
     new = CascadeState(
+        graph=state.graph,
         loads=state.loads.copy(),
         alive=state.alive.copy(),
         stage=state.stage,
-        adjacency=state.adjacency.copy(),
     )
     failed, _ = _step_inplace(new)
     return new, failed
@@ -155,21 +161,25 @@ def _step_inplace(state: CascadeState) -> tuple[int, float]:
         return 0, 0.0
     idx = np.flatnonzero(failing)
     recv = np.flatnonzero(state.alive & ~failing)
-    A = state.adjacency
-    # dead rows and failing-to-failing edges carry nothing, so the
-    # receiver-row block holds every live entry of the failing columns
-    block = A[np.ix_(recv, idx)]
-    deg = block.sum(axis=0, dtype=np.float64)
-    has_recipient = deg > 0
-    share = np.where(
-        has_recipient, state.loads[idx] / np.where(has_recipient, deg, 1.0), 0.0
-    )
-    dropped = float(state.loads[idx][~has_recipient].sum())
-    state.loads[recv] += block @ share
+    if state.graph.complete:
+        if recv.size:
+            state.loads[recv] += (state.loads[idx] / recv.size).sum()
+            dropped = 0.0
+        else:
+            dropped = float(state.loads[idx].sum())
+    else:
+        # recv and idx hold live nodes only, so the block holds every edge
+        # that carries load this stage and no edge to a dead node
+        block = state.graph.adjacency[np.ix_(recv, idx)]
+        deg = block.sum(axis=0, dtype=np.float64)
+        has_recipient = deg > 0
+        share = np.where(
+            has_recipient, state.loads[idx] / np.where(has_recipient, deg, 1.0), 0.0
+        )
+        dropped = float(state.loads[idx][~has_recipient].sum())
+        state.loads[recv] += block @ share
     state.loads[idx] = 0.0
     state.alive[idx] = False
-    A[idx, :] = False
-    A[:, idx] = False
     state.stage += 1
     return k, dropped
 
@@ -295,10 +305,6 @@ def validate_redistribution_limit(
 
     A draw with zero survivors is reported (empirical = inf), not raised.
     """
-    if not 0.0 < a0 < 1.0:
-        raise ValueError(f"a0 must be in (0, 1), got {a0}")
-    if d_m <= 0:
-        raise ValueError(f"disturbance mean must be > 0, got {d_m}")
     loads = apply_disturbance(init_loads(n, DeltaLoads(a0), rng), d_m, rng)
     failed = loads >= 1.0
     n_failed = int(failed.sum())

@@ -1,15 +1,13 @@
-"""Random graph generation and the column-normalized redistribution matrix.
+"""Random graph generation.
 
 Nodes are generators that have agreed to share each other's load on failure.
-The redistribution matrix holds, in entry (i, j), the fraction of node j's
-load that node i absorbs when j fails: a_ij / deg(j) for neighbors, 0
-otherwise. Columns of isolated nodes are all-zero, meaning the load of a
-failing node with no alive neighbor is dropped (its region blacks out).
+Every graph is immutable: its adjacency matrix is read-only, so a cascade
+can run over it without copying it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -20,12 +18,14 @@ class GraphTopology:
     """Symmetric unweighted graph on ``n`` nodes.
 
     ``edge_prob`` records the probability used at generation time and is
-    metadata only.
+    metadata only. ``complete`` is set only by ``generate_er_graph`` at
+    ``p == 1``; a hand-built graph is never flagged, whatever its adjacency.
     """
 
     n: int
     adjacency: np.ndarray  # bool, shape (n, n), symmetric, zero diagonal
     edge_prob: float
+    complete: bool = field(default=False, init=False)
 
     def degree(self) -> np.ndarray:
         return self.adjacency.sum(axis=0)
@@ -34,30 +34,43 @@ class GraphTopology:
         return int(self.adjacency.sum()) // 2
 
 
-@dataclass(frozen=True)
-class RedistributionWeights:
-    """Column-normalized adjacency: weights[i, j] = a_ij / deg(j).
-
-    Every column sums to exactly 1 (degree > 0) or 0 (isolated node), so
-    the transpose is row-stochastic wherever it is nonzero.
-    """
-
-    weights: np.ndarray  # float64, shape (n, n)
-
-
 def generate_er_graph(n: int, p: float, rng: np.random.Generator) -> GraphTopology:
     """Draw an Erdős–Rényi graph: each unordered pair is an edge w.p. ``p``.
 
-    Deterministic given the generator state.
+    Deterministic given the generator state. The generator always ends in
+    the state that drawing ``n * n`` uniforms leaves, but at ``p == 1`` a
+    PCG64 generator is advanced past them instead of drawing them.
     """
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    adj = rng.random((n, n)) < p
-    adj &= _strict_upper_mask(n)
-    adj |= adj.T
-    return GraphTopology(n=n, adjacency=adj, edge_prob=p)
+    if p == 1.0 and isinstance(rng.bit_generator, np.random.PCG64):
+        _skip_doubles(rng.bit_generator, n * n)
+        adj = np.ones((n, n), dtype=bool)
+        np.fill_diagonal(adj, False)
+    else:
+        adj = rng.random((n, n)) < p
+        adj &= _strict_upper_mask(n)
+        adj |= adj.T
+    adj.setflags(write=False)
+    g = GraphTopology(n=n, adjacency=adj, edge_prob=p)
+    object.__setattr__(g, "complete", p == 1.0)
+    return g
+
+
+def _skip_doubles(bit_generator: np.random.PCG64, count: int) -> None:
+    """Advance past ``count`` doubles as ``random`` would draw them.
+
+    Each double takes one 64-bit output and leaves the buffered 32-bit half
+    alone, but ``advance`` clears that buffer, so it is restored.
+    """
+    state = bit_generator.state
+    bit_generator.advance(count)
+    advanced = bit_generator.state
+    advanced["has_uint32"] = state["has_uint32"]
+    advanced["uinteger"] = state["uinteger"]
+    bit_generator.state = advanced
 
 
 @lru_cache(maxsize=4)
@@ -65,14 +78,3 @@ def _strict_upper_mask(n: int) -> np.ndarray:
     mask = ~np.tri(n, dtype=bool)
     mask.setflags(write=False)
     return mask
-
-
-def normalize_adjacency(g: GraphTopology) -> RedistributionWeights:
-    """Build the redistribution matrix by normalizing each column by its degree."""
-    return RedistributionWeights(weights=_column_normalize(g.adjacency))
-
-
-def _column_normalize(adjacency: np.ndarray) -> np.ndarray:
-    deg = adjacency.sum(axis=0, dtype=np.float64)
-    safe = np.where(deg > 0, deg, 1.0)
-    return adjacency.astype(np.float64) / safe

@@ -16,6 +16,7 @@ from gridcascade import (
     step_cascade,
     validate_redistribution_limit,
 )
+from gridcascade.graph import GraphTopology
 
 
 def k3():
@@ -74,6 +75,18 @@ def test_overload_fraction_matches_exponential_tail():
     assert abs(np.mean(loads >= 1.0) - math.exp(-2)) < 0.01
 
 
+@pytest.mark.parametrize("d_m", [math.nan, math.inf])
+def test_disturbance_rejects_nonfinite_mean(d_m):
+    with pytest.raises(ValueError):
+        apply_disturbance(np.zeros(3), d_m, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_disturbance_rejects_nonfinite_loads(bad):
+    with pytest.raises(ValueError):
+        apply_disturbance(np.array([0.5, bad, 0.5]), 0.1, np.random.default_rng(0))
+
+
 def test_disturbance_rejects_nonpositive_mean():
     with pytest.raises(ValueError):
         apply_disturbance(np.zeros(3), 0.0, np.random.default_rng(0))
@@ -121,6 +134,38 @@ def test_run_cascade_total_blackout():
     assert out.survivor_fraction == 0.0
     assert out.termination_stage == 2
     assert out.failures_per_stage == (1, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_cascade_rejects_nonfinite_loads(bad):
+    with pytest.raises(ValueError):
+        run_cascade(k3(), np.array([bad, 0.5, 0.6]))
+    with pytest.raises(ValueError):
+        CascadeState.from_graph(k3(), np.array([0.4, 0.5, bad]))
+
+
+def test_hand_built_incomplete_graph_never_takes_the_shift_path():
+    # path 0-1-2 labelled edge_prob=1.0: node 0's load all goes to node 1
+    adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
+    g = GraphTopology(3, adj, 1.0)
+    state, failed = step_cascade(CascadeState.from_graph(g, np.array([1.2, 0.3, 0.2])))
+    assert failed == 1
+    assert np.allclose(state.loads, [0.0, 1.5, 0.2])
+    assert run_cascade(g, np.array([1.2, 0.3, 0.2])).failures_per_stage == (1, 1, 1)
+
+
+@pytest.mark.parametrize("p", [0.3, 1.0])
+def test_cascade_leaves_the_graph_unchanged(p):
+    g = generate_er_graph(40, p, np.random.default_rng(4))
+    before = g.adjacency.copy()
+    loads = np.random.default_rng(5).random(40) * 1.5
+    assert run_cascade(g, loads).termination_stage > 0
+    state, failed = CascadeState.from_graph(g, loads), 1
+    while failed:
+        state, failed = step_cascade(state)
+    assert state.adjacency is g.adjacency
+    assert (g.adjacency == before).all()
+    assert not g.adjacency.flags.writeable
 
 
 def test_run_cascade_rejects_negative_loads():

@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from gridcascade import generate_er_graph, normalize_adjacency
-from gridcascade.graph import GraphTopology, _column_normalize
+from gridcascade import generate_er_graph, trial_rng
+from gridcascade.graph import GraphTopology
 
 
 def test_p_one_gives_complete_graph():
@@ -41,47 +39,47 @@ def test_same_seed_reproduces_adjacency_exactly():
     assert (g1.adjacency == g2.adjacency).all()
 
 
-def test_triangle_weights_are_half_everywhere():
-    adj = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=bool)
-    w = normalize_adjacency(GraphTopology(3, adj, 1.0)).weights
-    off = w[~np.eye(3, dtype=bool)]
-    assert np.allclose(off, 0.5)
-    assert np.allclose(w.sum(axis=0), 1.0)
+def _pcg64_with_pending_half():
+    rng = np.random.Generator(np.random.PCG64(8))
+    rng.integers(0, 10, dtype=np.int32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
 
 
-def test_path_weights_follow_degrees():
-    # chain 0-1-2: node 0 sends everything to 1; node 1 splits in half
-    adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
-    w = normalize_adjacency(GraphTopology(3, adj, 0.5)).weights
-    assert w[1, 0] == 1.0
-    assert w[0, 1] == 0.5
-    assert w[2, 1] == 0.5
+@pytest.mark.parametrize("make_rng", [
+    lambda: trial_rng(42, 7),
+    _pcg64_with_pending_half,
+    lambda: np.random.Generator(np.random.MT19937(8)),
+])
+@pytest.mark.parametrize("n", [1, 2, 37])
+def test_p_one_leaves_the_stream_as_the_draw_does(make_rng, n):
+    rng, ref = make_rng(), make_rng()
+    g = generate_er_graph(n, 1.0, rng)
+    # the drawing code, spelled out
+    adj = ref.random((n, n)) < 1.0
+    adj &= ~np.tri(n, dtype=bool)
+    adj |= adj.T
+    assert (g.adjacency == adj).all()
+    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+    for draw in (lambda r: r.integers(0, 2**31 - 1, size=5, dtype=np.int32),
+                 lambda r: r.random(5),
+                 lambda r: r.exponential(0.1, size=5)):
+        assert (draw(rng) == draw(ref)).all()
 
 
-def test_isolated_node_column_is_zero():
-    adj = np.zeros((3, 3), dtype=bool)
-    adj[0, 1] = adj[1, 0] = True
-    w = normalize_adjacency(GraphTopology(3, adj, 0.1)).weights
-    assert (w[:, 2] == 0.0).all()
-    assert np.allclose(w[:, :2].sum(axis=0), 1.0)
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_generated_adjacency_is_read_only(p):
+    g = generate_er_graph(5, p, np.random.default_rng(0))
+    assert not g.adjacency.flags.writeable
+    with pytest.raises(ValueError):
+        g.adjacency[0, 1] = True
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=40),
-    p=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_column_sums_are_zero_or_one(n, p, seed):
-    g = generate_er_graph(n, p, np.random.default_rng(seed))
-    sums = normalize_adjacency(g).weights.sum(axis=0)
-    assert np.all((np.abs(sums) < 1e-12) | (np.abs(sums - 1.0) < 1e-12))
-
-
-def test_renormalization_after_node_removal_keeps_invariant():
-    g = generate_er_graph(30, 0.4, np.random.default_rng(3))
-    adj = g.adjacency.copy()
-    adj[5, :] = False
-    adj[:, 5] = False
-    sums = _column_normalize(adj).sum(axis=0)
-    assert np.all((np.abs(sums) < 1e-12) | (np.abs(sums - 1.0) < 1e-12))
+def test_only_generated_p_one_graphs_are_flagged_complete():
+    rng = np.random.default_rng(0)
+    assert generate_er_graph(5, 1.0, rng).complete
+    assert not generate_er_graph(5, 0.999, rng).complete
+    complete_adj = ~np.eye(3, dtype=bool)
+    assert not GraphTopology(3, complete_adj, 1.0).complete
+    with pytest.raises(TypeError):
+        GraphTopology(3, complete_adj, 1.0, complete=True)

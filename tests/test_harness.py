@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -62,6 +63,33 @@ def test_simulate_single_trial_aggregate_matches_trial(tmp_path):
     f = float(trials[1][5])
     assert float(agg[1][4]) == (1.0 if f == 1.0 else 0.0)
     assert float(agg[1][5]) == pytest.approx(1.0 - f)
+
+
+# sha256 of the tables written for GOLDEN_CFG, recorded from the dense
+# adjacency engine before the complete-graph path existed; p=0.5 runs the
+# general path and p=1.0 the complete-graph path
+GOLDEN_CFG = {
+    "nodes": [10, 50],
+    "edge_prob": [0.5, 1.0],
+    "load": {"kind": "uniform"},
+    "d_m": 0.1,
+    "trials": 50,
+    "seed": 42,
+}
+GOLDEN_SHA256 = {
+    "trials.csv": "86e8a94ae145d0a8e027cf387a32cf0d6621931ecd368e2a701ec273336a3dc5",
+    "aggregate.csv": "d25da8daa9950b4d4a18d1f972124006219a5742dfcb495a861fa4f7e18bfe35",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_tables_match_golden_digests(tmp_path, threads):
+    cfg = write_config(tmp_path, "sim.json", GOLDEN_CFG)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--threads", threads]) == 0
+    for name, digest in GOLDEN_SHA256.items():
+        data = (tmp_path / "out" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_simulate_seed_flag_overrides_config(tmp_path):

@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcascade import (
+    BimodalLoads,
     CascadeState,
+    DeltaLoads,
     UniformLoads,
+    apply_disturbance,
     generate_er_graph,
+    init_loads,
     monte_carlo,
     run_cascade,
     step_cascade,
 )
+from gridcascade.graph import GraphTopology
 
 
 def random_instance(rng):
@@ -89,3 +94,31 @@ def test_run_cascade_matches_manual_stepping(seed):
     assert out.failures_per_stage == tuple(counts)
     assert out.termination_stage == len(counts)
     assert out.termination_stage <= g.n
+
+
+def _final_loads(g, loads):
+    state, failed = CascadeState.from_graph(g, loads), 1
+    while failed:
+        state, failed = step_cascade(state)
+    return state.loads
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=400),
+    spec=st.sampled_from([UniformLoads(), DeltaLoads(0.8), DeltaLoads(0.6),
+                          BimodalLoads(0.5, 0.9, 0.25)]),
+    d_m=st.floats(min_value=0.01, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_complete_graph_shift_path_matches_general_path(n, spec, d_m, seed):
+    rng = np.random.default_rng(seed)
+    g = generate_er_graph(n, 1.0, rng)
+    loads = apply_disturbance(init_loads(n, spec, rng), d_m, rng)
+    # the same adjacency, hand-built and so not flagged complete
+    general = GraphTopology(n, g.adjacency, 1.0)
+    assert g.complete and not general.complete
+    assert run_cascade(g, loads) == run_cascade(general, loads)
+    # the shift and the matvec sum in different orders
+    np.testing.assert_allclose(_final_loads(g, loads), _final_loads(general, loads),
+                               rtol=4 * np.finfo(np.float64).eps, atol=0.0)
