@@ -16,9 +16,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .meanfield import Verdict, failure_probability, mean_failed_load
+from .meanfield import (
+    COMPLETE_OUTAGE,
+    RUNNING,
+    Verdict,
+    failure_probability,
+    first_stage,
+    iterate,
+    mean_failed_load,
+    next_failure_probability,
+)
 
 
 class Branch(str, enum.Enum):
@@ -26,6 +35,9 @@ class Branch(str, enum.Enum):
     BOTH_ALIVE = "both_alive"
     UPPER_DIES = "upper_dies"
     LOWER_ONLY = "lower_only"
+
+
+INIT, BOTH_ALIVE, UPPER_DIES, LOWER_ONLY = Branch  # bound once, as in meanfield
 
 
 @dataclass(frozen=True)
@@ -47,34 +59,83 @@ class BimodalState:
 
 
 def _mode_failure_probability(a: float, b: float, pa: float, pb: float, d_m: float) -> float:
-    return pa * failure_probability(a, d_m) + pb * failure_probability(min(b, 1.0), d_m)
+    # failure_probability of each floor, inlined: this runs at every stage
+    return pa * math.exp(-(1.0 - a) / d_m) + pb * math.exp(-(1.0 - min(b, 1.0)) / d_m)
 
 
-def init_bimodal(a0: float, b0: float, pa: float, d_m: float) -> BimodalState:
-    """Stage-1 state of the two-mode recursion."""
+def _init(a0: float, b0: float, pa: float, d_m: float):
     if not 0.0 < a0 < 1.0 or not 0.0 < b0 < 1.0:
         raise ValueError(f"mode loads must be in (0, 1), got a0={a0}, b0={b0}")
     if a0 > b0:
         raise ValueError(f"need a0 <= b0, got a0={a0}, b0={b0}")
     if not 0.0 <= pa <= 1.0:
         raise ValueError(f"pa must be in [0, 1], got {pa}")
-    if d_m <= 0:
-        raise ValueError(f"disturbance mean must be > 0, got {d_m}")
-    pb = 1.0 - pa
-    p0 = _mode_failure_probability(a0, b0, pa, pb, d_m)
-    if p0 >= 1.0:
-        return BimodalState(1, a0, b0, 1.0, 0.0, 1.0 + d_m, d_m, pa, pb,
-                            verdict=Verdict.COMPLETE_OUTAGE)
-    D1 = p0 / (1.0 - p0) * (1.0 + d_m)
+    if not 0.0 < d_m < math.inf:
+        raise ValueError(f"disturbance mean must be finite and > 0, got {d_m}")
+    p0 = _mode_failure_probability(a0, b0, pa, 1.0 - pa, d_m)
+    verdict, p1, D1 = first_stage(p0, d_m)
+    return verdict, (1, a0, p1, D1, 1.0 + d_m, b0, INIT, math.nan)
+
+
+def _step(row: tuple, params: tuple):
+    # params: (d_m, pa, pb, shifted_floor_in_pn); see bimodal_step
+    n, a, p, D, mu_prev, b, _, p_tilde = row
+    d_m, pa, pb, shifted_floor_in_pn = params
     try:
-        p1 = p0 / (1.0 - p0) * math.expm1(D1 / d_m)
-    except OverflowError:
-        return BimodalState(1, a0, b0, 1.0, D1, 1.0 + d_m, d_m, pa, pb,
-                            verdict=Verdict.COMPLETE_OUTAGE)
-    state = BimodalState(1, a0, b0, p1, D1, 1.0 + d_m, d_m, pa, pb)
-    if p1 >= 1.0:
-        state = replace(state, verdict=Verdict.COMPLETE_OUTAGE)
-    return state
+        if D < (1.0 - b) and b < 1.0:
+            branch, a_next, b_next, p_tilde = BOTH_ALIVE, a + D, b + D, math.nan
+            mu = mean_failed_load(D, d_m)
+            D_next = p / (1.0 - p) * mu
+            q = _mode_failure_probability(a_next, b_next, pa, pb, d_m)
+            p_next = next_failure_probability(q, D_next, d_m)
+        elif (1.0 - a) > D >= (1.0 - b) and b < 1.0:
+            if pa == 0.0:
+                # no lower mode: killing the upper mode kills everyone
+                return COMPLETE_OUTAGE, (n + 1, a, p, D, mu_prev, 1.0, UPPER_DIES, p_tilde)
+            branch, a_next, b_next = UPPER_DIES, a + D, 1.0
+            # failing mass this stage: the slice of the a-mode crossing
+            # capacity plus the entire remaining b-mode
+            p_tilde = (
+                pa * (math.exp(-(1.0 - a - D) / d_m) - math.exp(-(1.0 - a) / d_m))
+                + pb * (1.0 - math.exp(-(1.0 - b) / d_m))
+            )
+            num = (
+                pa * math.exp(-(1.0 - a_next) / d_m)
+                * (1.0 + d_m - (1.0 + D + d_m) * math.exp(-D / d_m))
+                + pb * (b + D + d_m - (1.0 + D + d_m) * math.exp(-(1.0 - b) / d_m))
+            )
+            mu = num / p_tilde if p_tilde > 0 else 1.0 + d_m
+            D_next = p / (1.0 - p) * mu
+            floor = a_next if shifted_floor_in_pn else a
+            p_next = 1.0 - (
+                pa * (1.0 - math.exp(-(1.0 - a_next) / d_m))
+                / (1.0 - (pa * math.exp(-(1.0 - floor) / d_m) + pb))
+            )
+        elif D < (1.0 - a) and a < 1.0 and b == 1.0:
+            branch, a_next, b_next, p_tilde = LOWER_ONLY, a + D, b, math.nan
+            mu = mean_failed_load(D, d_m)
+            D_next = p / (1.0 - p) * mu
+            q = failure_probability(a_next, d_m)
+            p_next = next_failure_probability(q, D_next, d_m)
+        else:
+            # remaining mass pushed past capacity
+            return COMPLETE_OUTAGE, (n + 1, *row[1:])
+    except (OverflowError, ZeroDivisionError):
+        return COMPLETE_OUTAGE, (n + 1, *row[1:])
+    verdict = COMPLETE_OUTAGE if not 0.0 <= p_next < 1.0 or a_next >= 1.0 else RUNNING
+    return verdict, (n + 1, a_next, p_next, D_next, mu, b_next, branch, p_tilde)
+
+
+def _state(row: tuple, verdict: Verdict, d_m: float, pa: float, pb: float) -> BimodalState:
+    # a row is (n, a_n, p_n, D_n, mu_prev, b_n, branch, p_tilde)
+    n, a, p, D, mu, b, branch, p_tilde = row
+    return BimodalState(n, a, b, p, D, mu, d_m, pa, pb, branch, p_tilde, verdict)
+
+
+def init_bimodal(a0: float, b0: float, pa: float, d_m: float) -> BimodalState:
+    """Stage-1 state of the two-mode recursion."""
+    verdict, row = _init(a0, b0, pa, d_m)
+    return _state(row, verdict, d_m, pa, 1.0 - pa)
 
 
 def bimodal_step(state: BimodalState, shifted_floor_in_pn: bool = False) -> BimodalState:
@@ -84,80 +145,20 @@ def bimodal_step(state: BimodalState, shifted_floor_in_pn: bool = False) -> Bimo
     denominator from the pre-shift floor to the post-shift floor, for
     sensitivity analysis; the default uses the pre-shift floor.
     """
-    if state.verdict is not Verdict.RUNNING:
+    if state.verdict is not RUNNING:
         raise ValueError(f"cannot step a recursion with verdict {state.verdict}")
-    a, b, D = state.a_n, state.b_n, state.D_n
-    try:
-        if D < (1.0 - b) and b < 1.0:
-            return _classify(_step_both_alive(state))
-        if (1.0 - a) > D >= (1.0 - b) and b < 1.0:
-            return _classify(_step_upper_dies(state, shifted_floor_in_pn))
-        if D < (1.0 - a) and a < 1.0 and b == 1.0:
-            return _classify(_step_lower_only(state))
-    except (OverflowError, ZeroDivisionError):
-        return replace(state, n=state.n + 1, verdict=Verdict.COMPLETE_OUTAGE)
-    # remaining mass pushed past capacity
-    return replace(state, n=state.n + 1, verdict=Verdict.COMPLETE_OUTAGE)
+    row = (state.n, state.a_n, state.p_n, state.D_n, state.mu_prev, state.b_n,
+           state.branch, state.p_tilde)
+    params = (state.d_m, state.pa, state.pb, shifted_floor_in_pn)
+    verdict, row = _step(row, params)
+    return _state(row, verdict, state.d_m, state.pa, state.pb)
 
 
-def _classify(state: BimodalState) -> BimodalState:
-    if not math.isfinite(state.p_n) or state.p_n >= 1.0 or state.p_n < 0.0:
-        return replace(state, verdict=Verdict.COMPLETE_OUTAGE)
-    if state.a_n >= 1.0:
-        return replace(state, verdict=Verdict.COMPLETE_OUTAGE)
-    return state
-
-
-def _step_both_alive(state: BimodalState) -> BimodalState:
-    a, b, p, D, d_m = state.a_n, state.b_n, state.p_n, state.D_n, state.d_m
-    a_next, b_next = a + D, b + D
-    mu = mean_failed_load(D, d_m)
-    D_next = p / (1.0 - p) * mu
-    q = _mode_failure_probability(a_next, b_next, state.pa, state.pb, d_m)
-    p_next = q / (1.0 - q) * math.expm1(D_next / d_m)
-    return replace(state, n=state.n + 1, a_n=a_next, b_n=b_next, p_n=p_next,
-                   D_n=D_next, mu_prev=mu, branch=Branch.BOTH_ALIVE, p_tilde=math.nan)
-
-
-def _step_upper_dies(state: BimodalState, shifted_floor_in_pn: bool) -> BimodalState:
-    a, b, p, D, d_m = state.a_n, state.b_n, state.p_n, state.D_n, state.d_m
-    pa, pb = state.pa, state.pb
-    if pa == 0.0:
-        # no lower mode: killing the upper mode kills everyone
-        return replace(state, n=state.n + 1, b_n=1.0, branch=Branch.UPPER_DIES,
-                       verdict=Verdict.COMPLETE_OUTAGE)
-    a_next = a + D
-    # failing mass this stage: the slice of the a-mode crossing capacity
-    # plus the entire remaining b-mode
-    p_tilde = (
-        pa * (math.exp(-(1.0 - a - D) / d_m) - math.exp(-(1.0 - a) / d_m))
-        + pb * (1.0 - math.exp(-(1.0 - b) / d_m))
-    )
-    num = (
-        pa * math.exp(-(1.0 - a_next) / d_m)
-        * (1.0 + d_m - (1.0 + D + d_m) * math.exp(-D / d_m))
-        + pb * (b + D + d_m - (1.0 + D + d_m) * math.exp(-(1.0 - b) / d_m))
-    )
-    mu = num / p_tilde if p_tilde > 0 else 1.0 + d_m
-    D_next = p / (1.0 - p) * mu
-    floor = a_next if shifted_floor_in_pn else a
-    p_next = 1.0 - (
-        pa * (1.0 - math.exp(-(1.0 - a_next) / d_m))
-        / (1.0 - (pa * math.exp(-(1.0 - floor) / d_m) + pb))
-    )
-    return replace(state, n=state.n + 1, a_n=a_next, b_n=1.0, p_n=p_next,
-                   D_n=D_next, mu_prev=mu, branch=Branch.UPPER_DIES, p_tilde=p_tilde)
-
-
-def _step_lower_only(state: BimodalState) -> BimodalState:
-    a, p, D, d_m = state.a_n, state.p_n, state.D_n, state.d_m
-    a_next = a + D
-    mu = mean_failed_load(D, d_m)
-    D_next = p / (1.0 - p) * mu
-    q = failure_probability(a_next, d_m)
-    p_next = q / (1.0 - q) * math.expm1(D_next / d_m)
-    return replace(state, n=state.n + 1, a_n=a_next, p_n=p_next, D_n=D_next,
-                   mu_prev=mu, branch=Branch.LOWER_ONLY, p_tilde=math.nan)
+def bimodal_rows(a0: float, b0: float, pa: float, d_m: float, max_iter: int = 10_000,
+                 tol: float = 1e-12, shifted_floor_in_pn: bool = False):
+    """The verdict and the stage rows of ``run_bimodal``, with no trace."""
+    params = (d_m, pa, 1.0 - pa, shifted_floor_in_pn)
+    return iterate(_init(a0, b0, pa, d_m), _step, params, max_iter, tol)
 
 
 def run_bimodal(
@@ -170,22 +171,8 @@ def run_bimodal(
     shifted_floor_in_pn: bool = False,
 ) -> tuple[Verdict, list[BimodalState]]:
     """Iterate the two-mode recursion to a verdict, as in the unimodal case."""
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    state = init_bimodal(a0, b0, pa, d_m)
-    trace = [state]
-    for _ in range(max_iter):
-        if state.verdict is not Verdict.RUNNING:
-            return state.verdict, trace
-        if state.p_n < tol:
-            state = replace(state, verdict=Verdict.SURVIVES)
-            trace[-1] = state
-            return Verdict.SURVIVES, trace
-        state = bimodal_step(state, shifted_floor_in_pn=shifted_floor_in_pn)
-        trace.append(state)
-    if state.verdict is Verdict.RUNNING:
-        state = replace(state, verdict=Verdict.UNDETERMINED)
-        trace[-1] = state
-    return state.verdict, trace
+    verdict, rows = bimodal_rows(a0, b0, pa, d_m, max_iter, tol, shifted_floor_in_pn)
+    pb = 1.0 - pa
+    trace = [_state(row, RUNNING, d_m, pa, pb) for row in rows[:-1]]
+    trace.append(_state(rows[-1], verdict, d_m, pa, pb))
+    return verdict, trace

@@ -269,7 +269,10 @@ def _model_from_cfg(cfg: dict):
 def cmd_dcrit(cfg: dict, writer: OutputWriter) -> dict:
     model = _model_from_cfg(_require(cfg, "model", "dcrit"))
     tol_d = cfg.get("tol_d", 1e-4)
-    res = find_d_critical(model, tol_d=tol_d)
+    try:
+        res = find_d_critical(model, tol_d=tol_d)
+    except ValueError as e:
+        raise ConfigError(str(e))
     is_uni = isinstance(model, DeltaLoads)
     rows = [(
         "unimodal" if is_uni else "bimodal",
@@ -284,7 +287,11 @@ def cmd_dcrit(cfg: dict, writer: OutputWriter) -> dict:
          "resolution", "method"],
         rows,
     )
-    return {"d_critical": res.d_critical, "bracket": [res.d_low, res.d_high]}
+    return {
+        "d_critical": res.d_critical,
+        "bracket": [res.d_low, res.d_high],
+        "undetermined_in_bracket": res.undetermined_in_bracket,
+    }
 
 
 def cmd_sweep_dcrit(cfg: dict, writer: OutputWriter) -> dict:
@@ -299,7 +306,9 @@ def cmd_sweep_dcrit(cfg: dict, writer: OutputWriter) -> dict:
         ["a0", "d_critical", "headroom"],
         [(r.a0, r.d_critical, r.headroom) for r in rows],
     )
-    return {"points": len(rows)}
+    # manifest only: the table stays byte-identical
+    undetermined = sum(r.undetermined_in_bracket for r in rows)
+    return {"points": len(rows), "undetermined_searches": undetermined}
 
 
 def cmd_sweep_bimodal(cfg: dict, writer: OutputWriter) -> dict:
@@ -325,6 +334,7 @@ def cmd_sweep_bimodal(cfg: dict, writer: OutputWriter) -> dict:
     return {
         "feasible_points": len(feasible),
         "best": {"a0": best.a0, "b0": best.b0, "d_critical": best.d_critical},
+        "undetermined_searches": sum(r.undetermined_in_bracket for r in feasible),
     }
 
 

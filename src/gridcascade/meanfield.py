@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class Verdict(str, enum.Enum):
@@ -25,6 +25,10 @@ class Verdict(str, enum.Enum):
     SURVIVES = "survives"
     COMPLETE_OUTAGE = "complete_outage"
     UNDETERMINED = "undetermined"
+
+
+# bound once: looking an enum member up on its class is slow on Python 3.11
+RUNNING, SURVIVES, COMPLETE_OUTAGE, UNDETERMINED = Verdict
 
 
 @dataclass(frozen=True)
@@ -56,53 +60,89 @@ def mean_failed_load(D: float, d_m: float) -> float:
     return 1.0 + d_m - D / denom
 
 
-def _next_p(a: float, D: float, d_m: float) -> float:
-    # may overflow for blackout-scale D; caller maps that to an outage
-    q = failure_probability(a, d_m)
+def iterate(first, step, params, max_iter: int, tol: float):
+    """The verdict and every stage row, from the stage-1 ``(verdict, row)``
+    pair ``first`` and ``step(row, params)``. A row is a tuple of one
+    stage's scalars, ``(n, a_n, p_n, D_n, mu_prev)`` here, extended by the
+    two-mode recursion; no state object is built per stage."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    verdict, row = first
+    rows = [row]
+    for _ in range(max_iter):
+        if verdict is not RUNNING:
+            return verdict, rows
+        if row[2] < tol:
+            return SURVIVES, rows
+        verdict, row = step(row, params)
+        rows.append(row)
+    return (UNDETERMINED if verdict is RUNNING else verdict), rows
+
+
+def next_failure_probability(q: float, D: float, d_m: float) -> float:
+    """q/(1-q) * (e^(D/d_m) - 1) for a floor failing with probability q and
+    a shift D; overflows for blackout-scale D, an outage to the caller."""
     return q / (1.0 - q) * math.expm1(D / d_m)
+
+
+def first_stage(p0: float, d_m: float):
+    """Verdict, p1 and D1 from the stage-0 failure probability p0."""
+    if p0 >= 1.0:
+        return COMPLETE_OUTAGE, 1.0, 0.0
+    D1 = p0 / (1.0 - p0) * (1.0 + d_m)
+    try:
+        p1 = next_failure_probability(p0, D1, d_m)
+    except OverflowError:
+        return COMPLETE_OUTAGE, 1.0, D1
+    return (COMPLETE_OUTAGE if p1 >= 1.0 else RUNNING), p1, D1
+
+
+def _init(a0: float, d_m: float):
+    if not 0.0 < a0 < 1.0:
+        raise ValueError(f"a0 must be in (0, 1), got {a0}")
+    if not 0.0 < d_m < math.inf:
+        raise ValueError(f"disturbance mean must be finite and > 0, got {d_m}")
+    verdict, p1, D1 = first_stage(failure_probability(a0, d_m), d_m)
+    return verdict, (1, a0, p1, D1, 1.0 + d_m)
+
+
+def _step(row: tuple, d_m: float):
+    n, a, p, D, _ = row
+    if D > (1.0 - a) and a < 1.0:
+        return COMPLETE_OUTAGE, row
+    a_next = a + D
+    mu = mean_failed_load(D, d_m)
+    D_next = p / (1.0 - p) * mu
+    try:
+        q = failure_probability(a_next, d_m)
+        p_next = next_failure_probability(q, D_next, d_m)
+    except OverflowError:
+        return COMPLETE_OUTAGE, (n + 1, a_next, 1.0, D_next, mu)
+    verdict = COMPLETE_OUTAGE if p_next >= 1.0 or a_next >= 1.0 else RUNNING
+    return verdict, (n + 1, a_next, p_next, D_next, mu)
 
 
 def init_recursion(a0: float, d_m: float) -> MeanFieldState:
     """Stage-1 state: p0, the first redistributed load D1, and p1."""
-    if not 0.0 < a0 < 1.0:
-        raise ValueError(f"a0 must be in (0, 1), got {a0}")
-    if d_m <= 0:
-        raise ValueError(f"disturbance mean must be > 0, got {d_m}")
-    p0 = failure_probability(a0, d_m)
-    if p0 >= 1.0:
-        return MeanFieldState(1, a0, 1.0, 0.0, 1.0 + d_m, d_m, Verdict.COMPLETE_OUTAGE)
-    D1 = p0 / (1.0 - p0) * (1.0 + d_m)
-    try:
-        p1 = _next_p(a0, D1, d_m)
-    except OverflowError:
-        return MeanFieldState(1, a0, 1.0, D1, 1.0 + d_m, d_m, Verdict.COMPLETE_OUTAGE)
-    state = MeanFieldState(1, a0, p1, D1, 1.0 + d_m, d_m)
-    if p1 >= 1.0:
-        state = replace(state, verdict=Verdict.COMPLETE_OUTAGE)
-    return state
+    verdict, row = _init(a0, d_m)
+    return MeanFieldState(*row, d_m, verdict)
 
 
 def recursion_step(state: MeanFieldState) -> MeanFieldState:
     """Advance one stage; classifies blackout when the surviving mass is
     pushed past capacity or the failure probability saturates."""
-    if state.verdict is not Verdict.RUNNING:
+    if state.verdict is not RUNNING:
         raise ValueError(f"cannot step a recursion with verdict {state.verdict}")
-    a, p, D, d_m = state.a_n, state.p_n, state.D_n, state.d_m
-    if D > (1.0 - a) and a < 1.0:
-        return replace(state, verdict=Verdict.COMPLETE_OUTAGE)
-    a_next = a + D
-    mu = mean_failed_load(D, d_m)
-    D_next = p / (1.0 - p) * mu
-    try:
-        p_next = _next_p(a_next, D_next, d_m)
-    except OverflowError:
-        return MeanFieldState(
-            state.n + 1, a_next, 1.0, D_next, mu, d_m, Verdict.COMPLETE_OUTAGE
-        )
-    out = MeanFieldState(state.n + 1, a_next, p_next, D_next, mu, d_m)
-    if p_next >= 1.0 or a_next >= 1.0:
-        out = replace(out, verdict=Verdict.COMPLETE_OUTAGE)
-    return out
+    row = (state.n, state.a_n, state.p_n, state.D_n, state.mu_prev)
+    verdict, row = _step(row, state.d_m)
+    return MeanFieldState(*row, state.d_m, verdict)
+
+
+def recursion_rows(a0: float, d_m: float, max_iter: int = 10_000, tol: float = 1e-12):
+    """The verdict and the stage rows of ``run_recursion``, with no trace."""
+    return iterate(_init(a0, d_m), _step, d_m, max_iter, tol)
 
 
 def run_recursion(
@@ -116,22 +156,7 @@ def run_recursion(
     Survives when p_n drops below ``tol``; Undetermined when ``max_iter``
     stages pass without resolution (slow dynamics near the threshold).
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    state = init_recursion(a0, d_m)
-    trace = [state]
-    for _ in range(max_iter):
-        if state.verdict is not Verdict.RUNNING:
-            return state.verdict, trace
-        if state.p_n < tol:
-            state = replace(state, verdict=Verdict.SURVIVES)
-            trace[-1] = state
-            return Verdict.SURVIVES, trace
-        state = recursion_step(state)
-        trace.append(state)
-    if state.verdict is Verdict.RUNNING:
-        state = replace(state, verdict=Verdict.UNDETERMINED)
-        trace[-1] = state
-    return state.verdict, trace
+    verdict, rows = recursion_rows(a0, d_m, max_iter, tol)
+    trace = [MeanFieldState(*row, d_m) for row in rows[:-1]]
+    trace.append(MeanFieldState(*rows[-1], d_m, verdict))
+    return verdict, trace

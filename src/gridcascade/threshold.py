@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bimodal import run_bimodal
+# run_bimodal and run_recursion: unused, but perfbench/tracing.py wraps them here
+from .bimodal import bimodal_rows, run_bimodal  # noqa: F401
 from .cascade import BimodalLoads, DeltaLoads
-from .meanfield import Verdict, run_recursion
+from .meanfield import Verdict, recursion_rows, run_recursion  # noqa: F401
 
 MeanFieldModel = DeltaLoads | BimodalLoads
 
@@ -30,18 +31,18 @@ class ThresholdResult:
     d_high: float  # fails (or Undetermined, counted as failure)
     resolution: float
     method: str    # "scan" or "bisection"
-    undetermined_in_bracket: bool = False
+    undetermined_in_bracket: bool = False  # some probe was Undetermined
 
 
 def model_verdict(
     model: MeanFieldModel, d_m: float, max_iter: int = 10_000, tol: float = 1e-12
 ) -> Verdict:
-    """Mean-field verdict for one disturbance level."""
+    """Mean-field verdict for one disturbance level, from the scalar rows
+    of the recursion (no per-stage trace is built)."""
     if isinstance(model, DeltaLoads):
-        verdict, _ = run_recursion(model.a0, d_m, max_iter=max_iter, tol=tol)
+        verdict, _ = recursion_rows(model.a0, d_m, max_iter, tol)
     else:
-        verdict, _ = run_bimodal(model.a0, model.b0, model.pa, d_m,
-                                 max_iter=max_iter, tol=tol)
+        verdict, _ = bimodal_rows(model.a0, model.b0, model.pa, d_m, max_iter, tol)
     return verdict
 
 
@@ -60,13 +61,17 @@ def find_d_critical(
     """Bisect the survive/fail boundary in the disturbance mean.
 
     The final bracket endpoints are re-verified: survives at d_low, fails
-    at d_high.
+    at d_high. ``undetermined_in_bracket`` reports whether any probe of the
+    search, scan or bisection, came back Undetermined.
     """
-    if tol_d <= 0:
-        raise ValueError(f"tol_d must be > 0, got {tol_d}")
+    if not 0.0 < tol_d < math.inf:
+        raise ValueError(f"tol_d must be finite and > 0, got {tol_d}")
+    seen = set()
 
     def fails(d: float) -> bool:
-        return _fails(model_verdict(model, d, max_iter=max_iter, tol=tol))
+        v = model_verdict(model, d, max_iter=max_iter, tol=tol)
+        seen.add(v)
+        return _fails(v)
 
     # geometric scan for a surviving lower endpoint
     lo = 1e-3
@@ -74,7 +79,8 @@ def find_d_critical(
         lo /= 4.0
         if lo < 1e-15:
             # no headroom at any resolvable disturbance
-            return ThresholdResult(0.0, 0.0, 1e-15, tol_d, "bisection")
+            return ThresholdResult(0.0, 0.0, 1e-15, tol_d, "bisection",
+                                   Verdict.UNDETERMINED in seen)
     # geometric scan for a failing upper endpoint
     hi = lo
     while not fails(hi):
@@ -84,13 +90,9 @@ def find_d_critical(
                 f"no failing disturbance found below d_max={d_max}"
             )
     lo = hi / 2.0
-    saw_undetermined = False
     while hi - lo > tol_d:
         mid = 0.5 * (lo + hi)
-        v = model_verdict(model, mid, max_iter=max_iter, tol=tol)
-        if v is Verdict.UNDETERMINED:
-            saw_undetermined = True
-        if _fails(v):
+        if fails(mid):
             hi = mid
         else:
             lo = mid
@@ -104,7 +106,7 @@ def find_d_critical(
         d_high=hi,
         resolution=tol_d,
         method="bisection",
-        undetermined_in_bracket=saw_undetermined,
+        undetermined_in_bracket=Verdict.UNDETERMINED in seen,
     )
 
 
@@ -129,6 +131,7 @@ class UnimodalSweepRow:
     a0: float
     d_critical: float
     headroom: float  # excess capacity 1 - a0
+    undetermined_in_bracket: bool = False
 
 
 def sweep_dcrit_vs_a0(a0_grid: list[float], tol_d: float = 1e-4) -> list[UnimodalSweepRow]:
@@ -136,7 +139,8 @@ def sweep_dcrit_vs_a0(a0_grid: list[float], tol_d: float = 1e-4) -> list[Unimoda
     rows = []
     for a0 in a0_grid:
         res = find_d_critical(DeltaLoads(a0), tol_d=tol_d)
-        rows.append(UnimodalSweepRow(a0=a0, d_critical=res.d_critical, headroom=1.0 - a0))
+        rows.append(UnimodalSweepRow(a0, res.d_critical, 1.0 - a0,
+                                     res.undetermined_in_bracket))
     return rows
 
 
@@ -147,6 +151,7 @@ class FixedMeanSweepRow:
     pa: float
     d_critical: float
     feasible: bool
+    undetermined_in_bracket: bool = False
 
 
 def sweep_bimodal_fixed_mean(
@@ -167,16 +172,15 @@ def sweep_bimodal_fixed_mean(
     for a0 in a0_grid:
         for b0 in b0_grid:
             if a0 == b0:
-                if a0 == mean:
-                    res = find_d_critical(DeltaLoads(a0), tol_d=tol_d)
-                    rows.append(FixedMeanSweepRow(a0, b0, 1.0, res.d_critical, True))
-                else:
-                    rows.append(FixedMeanSweepRow(a0, b0, math.nan, math.nan, False))
-                continue
-            pa = (b0 - mean) / (b0 - a0)
-            if not 0.0 < pa < 1.0:
+                pa = 1.0
+                model = DeltaLoads(a0) if a0 == mean else None
+            else:
+                pa = (b0 - mean) / (b0 - a0)
+                model = BimodalLoads(a0, b0, pa) if 0.0 < pa < 1.0 else None
+            if model is None:
                 rows.append(FixedMeanSweepRow(a0, b0, math.nan, math.nan, False))
                 continue
-            res = find_d_critical(BimodalLoads(a0, b0, pa), tol_d=tol_d)
-            rows.append(FixedMeanSweepRow(a0, b0, pa, res.d_critical, True))
+            res = find_d_critical(model, tol_d=tol_d)
+            rows.append(FixedMeanSweepRow(a0, b0, pa, res.d_critical, True,
+                                          res.undetermined_in_bracket))
     return rows

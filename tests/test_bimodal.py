@@ -115,3 +115,26 @@ def test_shifted_floor_variant_keeps_verdicts():
     for d_m, expected in ((0.015, Verdict.SURVIVES), (0.03, Verdict.COMPLETE_OUTAGE)):
         verdict, _ = run_bimodal(0.5, 0.9, 0.25, d_m, shifted_floor_in_pn=True)
         assert verdict is expected
+
+
+def test_nan_disturbance_is_rejected_not_an_outage():
+    # used to return COMPLETE_OUTAGE
+    with pytest.raises(ValueError):
+        run_bimodal(0.5, 0.9, 0.25, math.nan)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(4))
+def test_nonfinite_inputs_are_rejected(bad, slot):
+    args = [0.5, 0.9, 0.25, 0.05]
+    args[slot] = bad
+    with pytest.raises(ValueError):
+        init_bimodal(*args)
+    with pytest.raises(ValueError):
+        run_bimodal(*args)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+def test_bad_tolerance_is_rejected(tol):
+    with pytest.raises(ValueError):
+        run_bimodal(0.5, 0.9, 0.25, 0.015, tol=tol)

@@ -208,3 +208,98 @@ def test_json_output_format(tmp_path):
                  "--format", "json"]) == 0
     rows = json.loads((tmp_path / "out" / "dcrit.json").read_text())
     assert 0.015 <= float(rows[0]["d_critical"]) <= 0.025
+
+
+# sha256 of the mean-field tables, recorded from the traced recursions
+# before the threshold search ran a trace-free scalar loop. The trace grids
+# reach every bimodal branch and every verdict: max_iter=100 leaves
+# d_m=0.049 (unimodal) and d_m=0.15 (bimodal) Undetermined.
+MEANFIELD_GOLDEN = {
+    "meanfield": (
+        {"a0": 0.8, "d_m": [0.001, 0.03, 0.048, 0.049, 0.05, 0.07, 0.5],
+         "max_iter": 100},
+        "meanfield_trace.csv",
+        "69177b75f6c6181411e92a73ab41fbee2aec644840d11a056b0cf1a68dfb08aa",
+    ),
+    "bimodal-meanfield": (
+        {"a0": 0.4, "b0": 0.9, "pa": 0.9,
+         "d_m": [0.01, 0.07, 0.1, 0.15, 0.158, 0.5], "max_iter": 100},
+        "bimodal_trace.csv",
+        "efa3bb10fc16760047f9534113d838d4aac41aceedb1b874d49bfd21e2b7ece9",
+    ),
+    "sweep-dcrit": (
+        {"a0_grid": [0.3, 0.5, 0.8, 0.95]},
+        "dcrit_vs_a0.csv",
+        "e34b024cad2f853e97e21e3b894556b6b699d31e0654c9a0bc482da7bfb3339e",
+    ),
+    "sweep-bimodal": (
+        {"mean": 0.8, "a0_grid": [0.5, 0.7, 0.8],
+         "b0_grid": [0.8, 0.85, 0.9, 0.95]},
+        "dcrit_fixed_mean.csv",
+        "015af5912612a7a6b71f7dba28d2697bf133115821c2ee438a6428a6c99238ba",
+    ),
+    "dcrit": (
+        {"model": {"kind": "bimodal", "a0": 0.5, "b0": 0.9, "pa": 0.25}},
+        "dcrit.csv",
+        "cf01c5aab5ef67d1507bbe842d1ca05b13ee1445aa5928f7e01107047e90588b",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MEANFIELD_GOLDEN))
+def test_meanfield_tables_match_golden_digests(tmp_path, command):
+    cfg, table, digest = MEANFIELD_GOLDEN[command]
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+    data = (tmp_path / "out" / table).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["meanfield", "bimodal-meanfield"])
+def test_golden_traces_cover_every_verdict_and_branch(tmp_path, command):
+    cfg, table, _ = MEANFIELD_GOLDEN[command]
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / table)[1:]
+    assert {r[-1] for r in rows} == {"running", "survives", "complete_outage",
+                                     "undetermined"}
+    if command == "bimodal-meanfield":
+        assert {r[-2] for r in rows} == {"init", "both_alive", "upper_dies",
+                                         "lower_only"}
+
+
+@pytest.mark.parametrize("tol_d", [0, -1e-4])
+def test_dcrit_bad_tolerance_is_a_config_error(tmp_path, tol_d):
+    cfg = write_config(tmp_path, "dc.json", {
+        "model": {"kind": "unimodal", "a0": 0.8}, "tol_d": tol_d,
+    })
+    assert main(["dcrit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("tol_d,expected", [(1e-4, False), (1e-8, True)])
+def test_dcrit_manifest_reports_undetermined_probes(tmp_path, tol_d, expected):
+    cfg = write_config(tmp_path, "dc.json", {
+        "model": {"kind": "unimodal", "a0": 0.8}, "tol_d": tol_d,
+    })
+    assert main(["dcrit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["summary"]["undetermined_in_bracket"] is expected
+    assert read_csv(tmp_path / "out" / "dcrit.csv")[0][-1] == "method"
+
+
+@pytest.mark.parametrize("command,cfg,table", [
+    ("sweep-dcrit", {"a0_grid": [0.5, 0.8]}, "dcrit_vs_a0.csv"),
+    ("sweep-bimodal", {"mean": 0.8, "a0_grid": [0.5, 0.8], "b0_grid": [0.8, 0.9]},
+     "dcrit_fixed_mean.csv"),
+])
+def test_sweep_manifests_count_undetermined_searches(tmp_path, command, cfg, table):
+    counts = {}
+    for tol_d in (1e-4, 1e-8):
+        out = tmp_path / str(tol_d)
+        path = write_config(tmp_path, "cfg.json", dict(cfg, tol_d=tol_d))
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        counts[tol_d] = manifest["summary"]["undetermined_searches"]
+        # the count stays out of the table
+        assert "undetermined" not in (out / table).read_text()
+    assert counts == {1e-4: 0, 1e-8: 2}

@@ -99,3 +99,19 @@ def test_cannot_step_finished_state():
     verdict, trace = run_recursion(0.8, 0.07)
     with pytest.raises(ValueError):
         recursion_step(trace[-1])
+
+
+def test_nan_disturbance_is_rejected_not_undetermined():
+    # used to run all 10,000 stages and return Undetermined
+    with pytest.raises(ValueError):
+        run_recursion(0.8, math.nan)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_inputs_are_rejected(bad):
+    with pytest.raises(ValueError):
+        init_recursion(bad, 0.05)
+    with pytest.raises(ValueError):
+        init_recursion(0.8, bad)
+    with pytest.raises(ValueError):
+        run_recursion(0.8, 0.03, tol=bad)

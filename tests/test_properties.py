@@ -14,10 +14,13 @@ from gridcascade import (
     generate_er_graph,
     init_loads,
     monte_carlo,
+    run_bimodal,
     run_cascade,
+    run_recursion,
     step_cascade,
 )
 from gridcascade.graph import GraphTopology
+from gridcascade.threshold import model_verdict
 
 
 def random_instance(rng):
@@ -122,3 +125,24 @@ def test_complete_graph_shift_path_matches_general_path(n, spec, d_m, seed):
     # the shift and the matvec sum in different orders
     np.testing.assert_allclose(_final_loads(g, loads), _final_loads(general, loads),
                                rtol=4 * np.finfo(np.float64).eps, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a0=st.floats(min_value=0.01, max_value=0.99),
+    gap=st.floats(min_value=0.0, max_value=0.98),
+    pa=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    d_m=st.floats(min_value=1e-4, max_value=0.5),
+    bimodal=st.booleans(),
+    max_iter=st.sampled_from([3, 50, 10_000]),
+)
+def test_model_verdict_matches_the_traced_run(a0, gap, pa, d_m, bimodal, max_iter):
+    if bimodal:
+        b0 = min(a0 + gap, 0.99)
+        model = BimodalLoads(a0, b0, pa)
+        verdict, trace = run_bimodal(a0, b0, pa, d_m, max_iter=max_iter)
+    else:
+        model = DeltaLoads(a0)
+        verdict, trace = run_recursion(a0, d_m, max_iter=max_iter)
+    assert trace[-1].verdict is verdict
+    assert model_verdict(model, d_m, max_iter=max_iter) is verdict

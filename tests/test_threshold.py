@@ -48,6 +48,29 @@ def test_rejects_bad_tolerance():
         find_d_critical(DeltaLoads(0.8), tol_d=0.0)
 
 
+@pytest.mark.parametrize("tol_d", [math.nan, math.inf])
+def test_rejects_nonfinite_tolerance(tol_d):
+    # tol_d=nan used to return the unrefined scan bracket, d_critical=0.048
+    with pytest.raises(ValueError):
+        find_d_critical(DeltaLoads(0.8), tol_d=tol_d)
+
+
+def test_undetermined_probe_is_reported():
+    assert not find_d_critical(DeltaLoads(0.8)).undetermined_in_bracket
+    # 20 stages cannot resolve the slow dynamics near the threshold
+    res = find_d_critical(DeltaLoads(0.8), max_iter=20)
+    assert res.undetermined_in_bracket
+    assert model_verdict(DeltaLoads(0.8), res.d_high, max_iter=20) is not Verdict.SURVIVES
+
+
+def test_sweeps_carry_the_undetermined_flag():
+    (row,) = sweep_dcrit_vs_a0([0.8], tol_d=1e-8)
+    assert row.undetermined_in_bracket
+    (row,) = sweep_bimodal_fixed_mean(0.8, [0.5], [0.9], tol_d=1e-8)
+    assert row.undetermined_in_bracket
+    assert not sweep_dcrit_vs_a0([0.8])[0].undetermined_in_bracket
+
+
 def test_coarse_scan_single_flip():
     grid = [0.001 * i for i in range(1, 71)]
     out = coarse_scan(DeltaLoads(0.8), grid)
