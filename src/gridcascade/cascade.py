@@ -155,33 +155,34 @@ def _step_inplace(state: CascadeState) -> tuple[int, float]:
     Load only leaves the system when a failing node has no alive
     non-failing neighbor; edges inside the failing set never carry load.
     """
-    failing = state.alive & (state.loads >= 1.0)
-    k = int(failing.sum())
-    if k == 0:
+    loads, alive = state.loads, state.alive
+    (idx,) = (alive & (loads >= 1.0)).nonzero()
+    if idx.size == 0:
         return 0, 0.0
-    idx = np.flatnonzero(failing)
-    recv = np.flatnonzero(state.alive & ~failing)
+    alive[idx] = False
+    (recv,) = alive.nonzero()
+    out = loads[idx]
+    loads[idx] = 0.0
+    dropped = 0.0
     if state.graph.complete:
         if recv.size:
-            state.loads[recv] += (state.loads[idx] / recv.size).sum()
-            dropped = 0.0
+            loads[recv] += (out / recv.size).sum()
         else:
-            dropped = float(state.loads[idx].sum())
+            dropped = float(out.sum())
     else:
         # recv and idx hold live nodes only, so the block holds every edge
         # that carries load this stage and no edge to a dead node
-        block = state.graph.adjacency[np.ix_(recv, idx)]
+        block = state.graph.adjacency[recv[:, None], idx]
         deg = block.sum(axis=0, dtype=np.float64)
-        has_recipient = deg > 0
-        share = np.where(
-            has_recipient, state.loads[idx] / np.where(has_recipient, deg, 1.0), 0.0
-        )
-        dropped = float(state.loads[idx][~has_recipient].sum())
-        state.loads[recv] += block @ share
-    state.loads[idx] = 0.0
-    state.alive[idx] = False
+        if not deg.all():
+            # a column with no recipient is all zero in the block, so a
+            # degree of 1 makes its share add exactly 0 to every receiver
+            orphan = deg == 0.0
+            dropped = float(out[orphan].sum())
+            deg[orphan] = 1.0
+        loads[recv] += block @ (out / deg)
     state.stage += 1
-    return k, dropped
+    return idx.size, dropped
 
 
 def run_cascade(g: GraphTopology, loads: np.ndarray) -> CascadeOutcome:

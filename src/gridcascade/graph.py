@@ -2,7 +2,8 @@
 
 Nodes are generators that have agreed to share each other's load on failure.
 Every graph is immutable: its adjacency matrix is read-only, so a cascade
-can run over it without copying it.
+can run over it without copying it. A generated complete graph holds its
+adjacency in O(n) memory, as a strided view over 2n - 1 bytes.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 @dataclass(frozen=True)
@@ -45,15 +47,17 @@ def generate_er_graph(n: int, p: float, rng: np.random.Generator) -> GraphTopolo
         raise ValueError(f"node count must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    if p == 1.0 and isinstance(rng.bit_generator, np.random.PCG64):
-        _skip_doubles(rng.bit_generator, n * n)
-        adj = np.ones((n, n), dtype=bool)
-        np.fill_diagonal(adj, False)
+    if p == 1.0:
+        if isinstance(rng.bit_generator, np.random.PCG64):
+            _skip_doubles(rng.bit_generator, n * n)
+        else:
+            rng.random((n, n))
+        adj = _complete_adjacency(n)
     else:
         adj = rng.random((n, n)) < p
         adj &= _strict_upper_mask(n)
         adj |= adj.T
-    adj.setflags(write=False)
+        adj.setflags(write=False)
     g = GraphTopology(n=n, adjacency=adj, edge_prob=p)
     object.__setattr__(g, "complete", p == 1.0)
     return g
@@ -71,6 +75,14 @@ def _skip_doubles(bit_generator: np.random.PCG64, count: int) -> None:
     advanced["has_uint32"] = state["has_uint32"]
     advanced["uinteger"] = state["uinteger"]
     bit_generator.state = advanced
+
+
+def _complete_adjacency(n: int) -> np.ndarray:
+    """Read-only K_n adjacency over 2n - 1 bytes: row i is
+    ``ramp[n-1-i : 2n-1-i]``, so its only False falls on column i."""
+    ramp = np.ones(2 * n - 1, dtype=bool)
+    ramp[n - 1] = False
+    return as_strided(ramp[n - 1:], shape=(n, n), strides=(-1, 1), writeable=False)
 
 
 @lru_cache(maxsize=4)

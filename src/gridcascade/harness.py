@@ -57,6 +57,20 @@ def _require(cfg: dict, key: str, command: str):
     return cfg[key]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A finite JSON number; ``true`` and ``false`` are not numbers."""
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+
+
+def _check(ok: bool, name: str, value, expected: str) -> None:
+    if not ok:
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+
+
 def _as_grid(value) -> list:
     """Accept a scalar, an explicit list, or {start, stop, step}."""
     if isinstance(value, dict):
@@ -64,6 +78,8 @@ def _as_grid(value) -> list:
             start, stop, step = value["start"], value["stop"], value["step"]
         except KeyError as e:
             raise ConfigError(f"grid dict needs start/stop/step, missing {e}")
+        if not all(_is_real(x) for x in (start, stop, step)):
+            raise ConfigError(f"grid start/stop/step must be finite numbers, got {value}")
         if step <= 0:
             raise ConfigError(f"grid step must be > 0, got {step}")
         n = int(round((stop - start) / step)) + 1
@@ -91,7 +107,7 @@ def _load_spec(cfg: dict):
                 b0=_require(cfg, "b0", "load"),
                 pa=_require(cfg, "pa", "load"),
             )
-    except ValueError as e:
+    except (TypeError, ValueError) as e:  # TypeError: a non-numeric value
         raise ConfigError(str(e))
     raise ConfigError(f"unknown load kind '{kind}' (expected uniform/delta/bimodal)")
 
@@ -157,8 +173,15 @@ def cmd_simulate(cfg: dict, writer: OutputWriter, workers: int) -> dict:
     spec = _load_spec(_require(cfg, "load", "simulate"))
     trials = _require(cfg, "trials", "simulate")
     seed = _require(cfg, "seed", "simulate")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    # every value is checked here, before any trial runs
+    for n in nodes:
+        _check(_is_int(n) and n >= 1, "nodes", n, "an integer >= 1")
+    _check(_is_int(trials) and trials >= 1, "trials", trials, "an integer >= 1")
+    _check(_is_int(seed) and seed >= 0, "seed", seed, "an integer >= 0")
+    for p in probs:
+        _check(_is_real(p) and 0.0 <= p <= 1.0, "edge_prob", p, "a finite number in [0, 1]")
+    for d_m in dms:
+        _check(_is_real(d_m) and d_m > 0.0, "d_m", d_m, "a finite number > 0")
 
     trial_rows = []
     agg_rows = []
@@ -261,7 +284,7 @@ def _model_from_cfg(cfg: dict):
                 b0=_require(cfg, "b0", "model"),
                 pa=_require(cfg, "pa", "model"),
             )
-    except ValueError as e:
+    except (TypeError, ValueError) as e:  # TypeError: a non-numeric value
         raise ConfigError(str(e))
     raise ConfigError(f"unknown model kind '{kind}' (expected unimodal/bimodal)")
 

@@ -165,8 +165,10 @@ def sweep_bimodal_fixed_mean(
     For each (a0, b0) the weight pa = (b0 - mean) / (b0 - a0) is forced by
     the mean constraint; pairs needing pa outside (0, 1) are kept as
     infeasible marker rows (a weight of exactly 0 or 1 leaves a single
-    mode and just duplicates the equal-load cell). The a0 = b0 = mean
-    cell itself uses the single-mode model.
+    mode and just duplicates the equal-load cell). A pair with a0 > b0 is
+    an infeasible marker row too: a0 names the lighter mode, and the
+    mirrored pair (b0, a0) covers that split. The a0 = b0 = mean cell
+    itself uses the single-mode model.
     """
     rows = []
     for a0 in a0_grid:
@@ -176,7 +178,7 @@ def sweep_bimodal_fixed_mean(
                 model = DeltaLoads(a0) if a0 == mean else None
             else:
                 pa = (b0 - mean) / (b0 - a0)
-                model = BimodalLoads(a0, b0, pa) if 0.0 < pa < 1.0 else None
+                model = BimodalLoads(a0, b0, pa) if a0 < b0 and 0.0 < pa < 1.0 else None
             if model is None:
                 rows.append(FixedMeanSweepRow(a0, b0, math.nan, math.nan, False))
                 continue

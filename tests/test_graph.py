@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 from gridcascade import generate_er_graph, trial_rng
 from gridcascade.graph import GraphTopology
@@ -83,3 +84,28 @@ def test_only_generated_p_one_graphs_are_flagged_complete():
     assert not GraphTopology(3, complete_adj, 1.0).complete
     with pytest.raises(TypeError):
         GraphTopology(3, complete_adj, 1.0, complete=True)
+
+
+COMPLETE_RNGS = {
+    "pcg64": lambda: np.random.Generator(np.random.PCG64(3)),
+    "mt19937": lambda: np.random.Generator(np.random.MT19937(3)),
+}
+
+
+@pytest.mark.parametrize("make_rng", COMPLETE_RNGS.values(), ids=COMPLETE_RNGS)
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+def test_complete_adjacency_is_k_n(make_rng, n):
+    g = generate_er_graph(n, 1.0, make_rng())
+    assert g.adjacency.shape == (n, n) and g.adjacency.dtype == bool
+    assert (g.adjacency == ~np.eye(n, dtype=bool)).all()
+    assert (g.degree() == n - 1).all()
+    assert g.edge_count() == n * (n - 1) // 2
+    with pytest.raises(ValueError):
+        g.adjacency[0, 0] = True
+
+
+@pytest.mark.parametrize("make_rng", COMPLETE_RNGS.values(), ids=COMPLETE_RNGS)
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+def test_complete_adjacency_spans_2n_minus_1_bytes(make_rng, n):
+    low, high = byte_bounds(generate_er_graph(n, 1.0, make_rng()).adjacency)
+    assert high - low == 2 * n - 1

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gridcascade import harness
 from gridcascade.harness import main
 
 
@@ -117,6 +118,40 @@ def test_simulate_without_seed_fails_validation(tmp_path):
 def test_simulate_config_validation_errors(tmp_path, broken):
     cfg = write_config(tmp_path, "sim.json", dict(SIM_CFG, **broken))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("broken", [
+    {"nodes": "10"},
+    {"nodes": 0},
+    {"nodes": [10, 2.5]},
+    {"nodes": True},
+    {"trials": 2.5},
+    {"trials": True},
+    {"seed": -1},
+    {"seed": "42"},
+    {"edge_prob": 1.5},
+    {"edge_prob": -0.1},
+    {"edge_prob": "0.5"},
+    {"edge_prob": {"start": 0.1, "stop": "1", "step": 0.1}},
+    {"d_m": -0.1},
+    {"d_m": 0},
+    {"d_m": float("nan")},
+    {"d_m": float("inf")},
+    {"load": {"kind": "delta", "a0": "0.8"}},
+])
+def test_simulate_rejects_bad_values_before_any_trial(tmp_path, monkeypatch, broken):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the config was validated")
+
+    monkeypatch.setattr(harness, "monte_carlo", no_trials)
+    cfg = write_config(tmp_path, "sim.json", dict(SIM_CFG, **broken))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+def test_simulate_rejects_negative_seed_flag(tmp_path):
+    cfg = write_config(tmp_path, "sim.json", SIM_CFG)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--seed", "-1"]) == 1
 
 
 def test_missing_config_file_is_validation_error(tmp_path):

@@ -119,6 +119,16 @@ def test_fixed_mean_infeasible_pairs_are_marked():
     assert math.isnan(row.d_critical)
 
 
+def test_fixed_mean_descending_pairs_are_marked_not_raised():
+    # (0.825, 0.5) would force pa in (0, 1), but a0 names the lighter mode
+    rows = sweep_bimodal_fixed_mean(0.8, [0.5, 0.825], [0.5, 0.9])
+    assert [(r.a0, r.b0, r.feasible) for r in rows] == [
+        (0.5, 0.5, False), (0.5, 0.9, True), (0.825, 0.5, False), (0.825, 0.9, False),
+    ]
+    assert math.isnan(rows[2].pa) and math.isnan(rows[2].d_critical)
+    assert rows[1] == sweep_bimodal_fixed_mean(0.8, [0.5], [0.9])[0]
+
+
 def test_fixed_mean_continuity_near_diagonal():
     near = sweep_bimodal_fixed_mean(0.8, [0.79], [0.81])[0]
     diag = find_d_critical(DeltaLoads(0.8)).d_critical
