@@ -78,9 +78,8 @@ def _init(a0: float, b0: float, pa: float, d_m: float):
 
 
 def _step(row: tuple, params: tuple):
-    # params: (d_m, pa, pb, shifted_floor_in_pn); see bimodal_step
     n, a, p, D, mu_prev, b, _, p_tilde = row
-    d_m, pa, pb, shifted_floor_in_pn = params
+    d_m, pa, pb = params
     try:
         if D < (1.0 - b) and b < 1.0:
             branch, a_next, b_next, p_tilde = BOTH_ALIVE, a + D, b + D, math.nan
@@ -106,10 +105,9 @@ def _step(row: tuple, params: tuple):
             )
             mu = num / p_tilde if p_tilde > 0 else 1.0 + d_m
             D_next = p / (1.0 - p) * mu
-            floor = a_next if shifted_floor_in_pn else a
             p_next = 1.0 - (
                 pa * (1.0 - math.exp(-(1.0 - a_next) / d_m))
-                / (1.0 - (pa * math.exp(-(1.0 - floor) / d_m) + pb))
+                / (1.0 - (pa * math.exp(-(1.0 - a) / d_m) + pb))
             )
         elif D < (1.0 - a) and a < 1.0 and b == 1.0:
             branch, a_next, b_next, p_tilde = LOWER_ONLY, a + D, b, math.nan
@@ -138,26 +136,21 @@ def init_bimodal(a0: float, b0: float, pa: float, d_m: float) -> BimodalState:
     return _state(row, verdict, d_m, pa, 1.0 - pa)
 
 
-def bimodal_step(state: BimodalState, shifted_floor_in_pn: bool = False) -> BimodalState:
-    """Advance one stage, applying exactly one branch.
-
-    ``shifted_floor_in_pn`` switches the UPPER_DIES failure-probability
-    denominator from the pre-shift floor to the post-shift floor, for
-    sensitivity analysis; the default uses the pre-shift floor.
-    """
+def bimodal_step(state: BimodalState) -> BimodalState:
+    """Advance one stage, applying exactly one branch."""
     if state.verdict is not RUNNING:
         raise ValueError(f"cannot step a recursion with verdict {state.verdict}")
     row = (state.n, state.a_n, state.p_n, state.D_n, state.mu_prev, state.b_n,
            state.branch, state.p_tilde)
-    params = (state.d_m, state.pa, state.pb, shifted_floor_in_pn)
+    params = (state.d_m, state.pa, state.pb)
     verdict, row = _step(row, params)
     return _state(row, verdict, state.d_m, state.pa, state.pb)
 
 
 def bimodal_rows(a0: float, b0: float, pa: float, d_m: float, max_iter: int = 10_000,
-                 tol: float = 1e-12, shifted_floor_in_pn: bool = False):
+                 tol: float = 1e-12):
     """The verdict and the stage rows of ``run_bimodal``, with no trace."""
-    params = (d_m, pa, 1.0 - pa, shifted_floor_in_pn)
+    params = (d_m, pa, 1.0 - pa)
     return iterate(_init(a0, b0, pa, d_m), _step, params, max_iter, tol)
 
 
@@ -168,10 +161,9 @@ def run_bimodal(
     d_m: float,
     max_iter: int = 10_000,
     tol: float = 1e-12,
-    shifted_floor_in_pn: bool = False,
 ) -> tuple[Verdict, list[BimodalState]]:
     """Iterate the two-mode recursion to a verdict, as in the unimodal case."""
-    verdict, rows = bimodal_rows(a0, b0, pa, d_m, max_iter, tol, shifted_floor_in_pn)
+    verdict, rows = bimodal_rows(a0, b0, pa, d_m, max_iter, tol)
     pb = 1.0 - pa
     trace = [_state(row, RUNNING, d_m, pa, pb) for row in rows[:-1]]
     trace.append(_state(rows[-1], verdict, d_m, pa, pb))

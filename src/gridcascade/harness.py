@@ -10,18 +10,22 @@ Subcommands map one-to-one onto plot-ready tables:
     sweep-dcrit         d_critical vs constant load level
     sweep-bimodal       d_critical over a fixed-mean two-mode grid
 
+Each subcommand's schema in ``COMMANDS`` gives every config key a check and
+a default; ``validate`` applies it before any work runs.
+
 All numbers are serialized with 17 significant digits, so re-running a
 command with the same config and seed reproduces every table byte for
 byte. The manifest (manifest.json) echoes the config and lists outputs;
 only its timestamp varies between identical runs.
 
-Exit codes: 0 success, 1 config/validation error, 2 runtime error.
+Exit codes: 0 success, 1 config or command-line error, 2 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -49,67 +53,123 @@ class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
 
 
-# --- config helpers -------------------------------------------------------
-
-def _require(cfg: dict, key: str, command: str):
-    if key not in cfg:
-        raise ConfigError(f"'{command}' config is missing required key '{key}'")
-    return cfg[key]
-
+# --- value checks ---------------------------------------------------------
+# A check returns its value unconverted (the tables print ints and floats
+# differently) or, for a spec, the object it describes; else ValueError.
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_real(x) -> bool:
-    """A finite JSON number; ``true`` and ``false`` are not numbers."""
-    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+    """A finite JSON number, also as a float; true and false are not numbers."""
+    if _is_int(x):
+        return abs(x) <= sys.float_info.max
+    return isinstance(x, float) and math.isfinite(x)
 
 
-def _check(ok: bool, name: str, value, expected: str) -> None:
-    if not ok:
-        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+def _check(ok, expected: str):
+    def check(x):
+        if not ok(x):
+            raise ValueError(f"must be {expected}, got {x!r}")
+        return x
+    return check
+
+
+_count = _check(lambda x: _is_int(x) and x >= 1, "an integer >= 1")
+_seed = _check(lambda x: _is_int(x) and x >= 0, "an integer >= 0")
+_number = _check(_is_real, "a finite number")
+_positive = _check(lambda x: _is_real(x) and x > 0, "a finite number > 0")
+_probability = _check(lambda x: _is_real(x) and 0 <= x <= 1, "a finite number in [0, 1]")
+
+
+def _level(x):
+    """A constant load level, with the range ``DeltaLoads`` enforces."""
+    return DeltaLoads(_number(x)).a0
 
 
 def _as_grid(value) -> list:
     """Accept a scalar, an explicit list, or {start, stop, step}."""
     if isinstance(value, dict):
-        try:
-            start, stop, step = value["start"], value["stop"], value["step"]
-        except KeyError as e:
-            raise ConfigError(f"grid dict needs start/stop/step, missing {e}")
+        if sorted(value) != ["start", "step", "stop"]:
+            raise ValueError(f"grid dict needs exactly start/stop/step, got {value}")
+        start, stop, step = value["start"], value["stop"], value["step"]
         if not all(_is_real(x) for x in (start, stop, step)):
-            raise ConfigError(f"grid start/stop/step must be finite numbers, got {value}")
+            raise ValueError(f"grid start/stop/step must be finite numbers, got {value}")
         if step <= 0:
-            raise ConfigError(f"grid step must be > 0, got {step}")
-        n = int(round((stop - start) / step)) + 1
+            raise ValueError(f"grid step must be > 0, got {step}")
+        try:
+            n = int(round((stop - start) / step)) + 1
+        except OverflowError:  # an infinite number of steps
+            n = math.inf
+        if n > 10**6:  # a typo, not a grid: building it would hang the run
+            raise ValueError(f"grid {value} has more than 10**6 points")
         grid = [start + i * step for i in range(n) if start + i * step <= stop + step * 1e-9]
         if not grid:
-            raise ConfigError(f"empty grid from {value}")
+            raise ValueError(f"empty grid from {value}")
         return grid
     if isinstance(value, list):
         if not value:
-            raise ConfigError("grid list must be nonempty")
+            raise ValueError("grid list must be nonempty")
         return value
     return [value]
 
 
-def _load_spec(cfg: dict):
-    kind = _require(cfg, "kind", "load")
-    try:
-        if kind == "uniform":
-            return UniformLoads()
-        if kind == "delta":
-            return DeltaLoads(a0=_require(cfg, "a0", "load"))
-        if kind == "bimodal":
-            return BimodalLoads(
-                a0=_require(cfg, "a0", "load"),
-                b0=_require(cfg, "b0", "load"),
-                pa=_require(cfg, "pa", "load"),
-            )
-    except (TypeError, ValueError) as e:  # TypeError: a non-numeric value
-        raise ConfigError(str(e))
-    raise ConfigError(f"unknown load kind '{kind}' (expected uniform/delta/bimodal)")
+def _grid(check):
+    """A grid (see ``_as_grid``) whose every point passes ``check``."""
+    return lambda value: [check(x) for x in _as_grid(value)]
+
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+def _apply(keys: dict, cfg: dict, model: type | None = None) -> dict:
+    """The checked values of ``cfg``; ``keys`` maps each key to ``(check,
+    default)``. The fields of ``model`` are number keys that build
+    ``values["model"]``, so its range and cross-field rules apply, once."""
+    fields = [f.name for f in dataclasses.fields(model)] if model else []
+    keys = {**keys, **{name: (_number, REQUIRED) for name in fields}}
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+    values = {}
+    for key, (check, default) in keys.items():
+        if key in cfg:
+            try:
+                values[key] = check(cfg[key])
+            except ValueError as e:
+                raise ConfigError(f"{key}: {e}") from None
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required key '{key}'")
+        else:
+            values[key] = default
+    if model:
+        try:
+            values["model"] = model(**{name: values[name] for name in fields})
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+    return values
+
+
+def _spec(kinds: dict):
+    """A JSON object ``{"kind": k, ...}`` built as ``kinds[k]`` from its fields."""
+    def check(spec):
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        if not (isinstance(kind, str) and kind in kinds):
+            raise ValueError(f"must be an object with kind {'/'.join(kinds)}, got {spec!r}")
+        fields = {k: v for k, v in spec.items() if k != "kind"}
+        return _apply({}, fields, kinds[kind])["model"]
+    return check
+
+
+LOAD = _spec({"uniform": UniformLoads, "delta": DeltaLoads, "bimodal": BimodalLoads})
+MODEL = _spec({"unimodal": DeltaLoads, "bimodal": BimodalLoads})
+TRACE_KEYS = {
+    "d_m": (_grid(_positive), REQUIRED),
+    "max_iter": (_count, 10_000),
+    "tol": (_positive, 1e-12),
+}
+TOL_D = (_positive, 1e-4)
 
 
 def _fmt(x) -> str:
@@ -122,8 +182,6 @@ class OutputWriter:
     """Single writer for all tables and the manifest of one run."""
 
     def __init__(self, out_dir: Path, fmt: str):
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got '{fmt}'")
         self.out_dir = out_dir
         self.fmt = fmt
         self.files: list[str] = []
@@ -165,31 +223,16 @@ class OutputWriter:
 
 
 # --- commands -------------------------------------------------------------
+# Each takes the checked values, the writer and the worker count.
 
-def cmd_simulate(cfg: dict, writer: OutputWriter, workers: int) -> dict:
-    nodes = _as_grid(_require(cfg, "nodes", "simulate"))
-    probs = _as_grid(_require(cfg, "edge_prob", "simulate"))
-    dms = _as_grid(_require(cfg, "d_m", "simulate"))
-    spec = _load_spec(_require(cfg, "load", "simulate"))
-    trials = _require(cfg, "trials", "simulate")
-    seed = _require(cfg, "seed", "simulate")
-    # every value is checked here, before any trial runs
-    for n in nodes:
-        _check(_is_int(n) and n >= 1, "nodes", n, "an integer >= 1")
-    _check(_is_int(trials) and trials >= 1, "trials", trials, "an integer >= 1")
-    _check(_is_int(seed) and seed >= 0, "seed", seed, "an integer >= 0")
-    for p in probs:
-        _check(_is_real(p) and 0.0 <= p <= 1.0, "edge_prob", p, "a finite number in [0, 1]")
-    for d_m in dms:
-        _check(_is_real(d_m) and d_m > 0.0, "d_m", d_m, "a finite number > 0")
-
+def cmd_simulate(v: dict, writer: OutputWriter, workers: int) -> dict:
+    trials = v["trials"]
     trial_rows = []
     agg_rows = []
-    summaries = []
-    for n in nodes:
-        for p in probs:
-            for d_m in dms:
-                stats = monte_carlo(n, p, spec, d_m, trials, seed, workers=workers)
+    for n in v["nodes"]:
+        for p in v["edge_prob"]:
+            for d_m in v["d_m"]:
+                stats = monte_carlo(n, p, v["load"], d_m, trials, v["seed"], workers=workers)
                 for k, out in enumerate(stats.outcomes):
                     trial_rows.append((
                         n, p, d_m, k,
@@ -203,105 +246,53 @@ def cmd_simulate(cfg: dict, writer: OutputWriter, workers: int) -> dict:
                     stats.prob_no_outage,
                     stats.mean_outage_fraction,
                 ))
-                summaries.append({
-                    "nodes": n, "edge_prob": p, "d_m": d_m,
-                    "prob_no_outage": stats.prob_no_outage,
-                    "mean_outage_fraction": stats.mean_outage_fraction,
-                })
     writer.write_table(
         "trials",
         ["nodes", "edge_prob", "d_m", "trial", "termination_stage",
          "survivor_fraction", "outage_fraction", "failures_per_stage"],
         trial_rows,
     )
-    writer.write_table(
-        "aggregate",
-        ["nodes", "edge_prob", "d_m", "trials", "prob_no_outage",
-         "mean_outage_fraction"],
-        agg_rows,
-    )
-    return {"points": summaries}
+    header = ["nodes", "edge_prob", "d_m", "trials", "prob_no_outage",
+              "mean_outage_fraction"]
+    writer.write_table("aggregate", header, agg_rows)
+    return {"points": [{k: x for k, x in zip(header, row) if k != "trials"}
+                       for row in agg_rows]}
 
 
-def _trace_cfg(cfg: dict, command: str):
-    dms = _as_grid(_require(cfg, "d_m", command))
-    max_iter = cfg.get("max_iter", 10_000)
-    tol = cfg.get("tol", 1e-12)
-    return dms, max_iter, tol
-
-
-def cmd_meanfield(cfg: dict, writer: OutputWriter) -> dict:
-    a0 = _require(cfg, "a0", "meanfield")
-    dms, max_iter, tol = _trace_cfg(cfg, "meanfield")
+def _trace(run, v: dict, writer: OutputWriter, table: str, header: list[str]) -> dict:
+    """``run`` over the d_m grid for the config's model, one row per stage
+    with the ``header`` fields of each traced state."""
+    model = {f.name: v[f.name] for f in dataclasses.fields(v["model"])}
     rows = []
     verdicts = {}
-    for d_m in dms:
-        try:
-            verdict, trace = run_recursion(a0, d_m, max_iter=max_iter, tol=tol)
-        except ValueError as e:
-            raise ConfigError(str(e))
+    for d_m in v["d_m"]:
+        verdict, trace = run(*model.values(), d_m, max_iter=v["max_iter"], tol=v["tol"])
         verdicts[_fmt(float(d_m))] = verdict.value
         for s in trace:
-            rows.append((d_m, s.n, s.a_n, s.p_n, s.D_n, s.verdict.value))
-    writer.write_table(
-        "meanfield_trace", ["d_m", "n", "a_n", "p_n", "D_n", "verdict"], rows
-    )
-    return {"a0": a0, "verdicts": verdicts}
+            cells = [getattr(s, name) for name in header[1:]]
+            rows.append((d_m, *[getattr(x, "value", x) for x in cells]))  # enum -> str
+    writer.write_table(table, header, rows)
+    return {**model, "verdicts": verdicts}
 
 
-def cmd_bimodal_meanfield(cfg: dict, writer: OutputWriter) -> dict:
-    a0 = _require(cfg, "a0", "bimodal-meanfield")
-    b0 = _require(cfg, "b0", "bimodal-meanfield")
-    pa = _require(cfg, "pa", "bimodal-meanfield")
-    dms, max_iter, tol = _trace_cfg(cfg, "bimodal-meanfield")
-    rows = []
-    verdicts = {}
-    for d_m in dms:
-        try:
-            verdict, trace = run_bimodal(a0, b0, pa, d_m, max_iter=max_iter, tol=tol)
-        except ValueError as e:
-            raise ConfigError(str(e))
-        verdicts[_fmt(float(d_m))] = verdict.value
-        for s in trace:
-            rows.append((d_m, s.n, s.a_n, s.b_n, s.p_n, s.D_n,
-                         s.branch.value, s.verdict.value))
-    writer.write_table(
-        "bimodal_trace",
-        ["d_m", "n", "a_n", "b_n", "p_n", "D_n", "branch", "verdict"],
-        rows,
-    )
-    return {"a0": a0, "b0": b0, "pa": pa, "verdicts": verdicts}
+def cmd_meanfield(v: dict, writer: OutputWriter, workers: int) -> dict:
+    return _trace(run_recursion, v, writer, "meanfield_trace",
+                  ["d_m", "n", "a_n", "p_n", "D_n", "verdict"])
 
 
-def _model_from_cfg(cfg: dict):
-    kind = _require(cfg, "kind", "model")
-    try:
-        if kind == "unimodal":
-            return DeltaLoads(a0=_require(cfg, "a0", "model"))
-        if kind == "bimodal":
-            return BimodalLoads(
-                a0=_require(cfg, "a0", "model"),
-                b0=_require(cfg, "b0", "model"),
-                pa=_require(cfg, "pa", "model"),
-            )
-    except (TypeError, ValueError) as e:  # TypeError: a non-numeric value
-        raise ConfigError(str(e))
-    raise ConfigError(f"unknown model kind '{kind}' (expected unimodal/bimodal)")
+def cmd_bimodal_meanfield(v: dict, writer: OutputWriter, workers: int) -> dict:
+    return _trace(run_bimodal, v, writer, "bimodal_trace",
+                  ["d_m", "n", "a_n", "b_n", "p_n", "D_n", "branch", "verdict"])
 
 
-def cmd_dcrit(cfg: dict, writer: OutputWriter) -> dict:
-    model = _model_from_cfg(_require(cfg, "model", "dcrit"))
-    tol_d = cfg.get("tol_d", 1e-4)
-    try:
-        res = find_d_critical(model, tol_d=tol_d)
-    except ValueError as e:
-        raise ConfigError(str(e))
-    is_uni = isinstance(model, DeltaLoads)
+def cmd_dcrit(v: dict, writer: OutputWriter, workers: int) -> dict:
+    model = v["model"]
+    res = find_d_critical(model, tol_d=v["tol_d"])
     rows = [(
-        "unimodal" if is_uni else "bimodal",
+        "unimodal" if isinstance(model, DeltaLoads) else "bimodal",
         model.a0,
-        math.nan if is_uni else model.b0,
-        math.nan if is_uni else model.pa,
+        getattr(model, "b0", math.nan),
+        getattr(model, "pa", math.nan),
         res.d_critical, res.d_low, res.d_high, res.resolution, res.method,
     )]
     writer.write_table(
@@ -317,13 +308,8 @@ def cmd_dcrit(cfg: dict, writer: OutputWriter) -> dict:
     }
 
 
-def cmd_sweep_dcrit(cfg: dict, writer: OutputWriter) -> dict:
-    grid = _as_grid(_require(cfg, "a0_grid", "sweep-dcrit"))
-    tol_d = cfg.get("tol_d", 1e-4)
-    try:
-        rows = sweep_dcrit_vs_a0(grid, tol_d=tol_d)
-    except ValueError as e:
-        raise ConfigError(str(e))
+def cmd_sweep_dcrit(v: dict, writer: OutputWriter, workers: int) -> dict:
+    rows = sweep_dcrit_vs_a0(v["a0_grid"], tol_d=v["tol_d"])
     writer.write_table(
         "dcrit_vs_a0",
         ["a0", "d_critical", "headroom"],
@@ -334,15 +320,9 @@ def cmd_sweep_dcrit(cfg: dict, writer: OutputWriter) -> dict:
     return {"points": len(rows), "undetermined_searches": undetermined}
 
 
-def cmd_sweep_bimodal(cfg: dict, writer: OutputWriter) -> dict:
-    mean = _require(cfg, "mean", "sweep-bimodal")
-    a0_grid = _as_grid(_require(cfg, "a0_grid", "sweep-bimodal"))
-    b0_grid = _as_grid(_require(cfg, "b0_grid", "sweep-bimodal"))
-    tol_d = cfg.get("tol_d", 1e-4)
-    try:
-        rows = sweep_bimodal_fixed_mean(mean, a0_grid, b0_grid, tol_d=tol_d)
-    except ValueError as e:
-        raise ConfigError(str(e))
+def cmd_sweep_bimodal(v: dict, writer: OutputWriter, workers: int) -> dict:
+    mean = v["mean"]
+    rows = sweep_bimodal_fixed_mean(mean, v["a0_grid"], v["b0_grid"], tol_d=v["tol_d"])
     feasible = [r for r in rows if r.feasible]
     if not feasible:
         raise ConfigError(
@@ -363,14 +343,48 @@ def cmd_sweep_bimodal(cfg: dict, writer: OutputWriter) -> dict:
 
 # --- entry point ----------------------------------------------------------
 
-COMMANDS = (
-    "simulate", "meanfield", "bimodal-meanfield",
-    "dcrit", "sweep-dcrit", "sweep-bimodal",
-)
+# name: (command, schema, model class whose fields are top-level keys)
+COMMANDS = {
+    "simulate": (cmd_simulate, {
+        "nodes": (_grid(_count), REQUIRED),
+        "edge_prob": (_grid(_probability), REQUIRED),
+        "d_m": (_grid(_positive), REQUIRED),
+        "load": (LOAD, REQUIRED),
+        "trials": (_count, REQUIRED),
+        "seed": (_seed, REQUIRED),  # or --seed; there is no wall-clock default
+    }, None),
+    "meanfield": (cmd_meanfield, TRACE_KEYS, DeltaLoads),
+    "bimodal-meanfield": (cmd_bimodal_meanfield, TRACE_KEYS, BimodalLoads),
+    "dcrit": (cmd_dcrit, {"model": (MODEL, REQUIRED), "tol_d": TOL_D}, None),
+    "sweep-dcrit": (cmd_sweep_dcrit, {
+        "a0_grid": (_grid(_level), REQUIRED),
+        "tol_d": TOL_D,
+    }, None),
+    "sweep-bimodal": (cmd_sweep_bimodal, {
+        "mean": (_number, REQUIRED),
+        "a0_grid": (_grid(_level), REQUIRED),
+        "b0_grid": (_grid(_level), REQUIRED),
+        "tol_d": TOL_D,
+    }, None),
+}
+
+
+def validate(command: str, cfg: dict) -> dict:
+    """The checked values of ``cfg`` for ``command``, or ConfigError. The
+    library accepts every value that passes: a later ValueError is a fault."""
+    _, keys, model = COMMANDS[command]
+    return _apply(keys, cfg, model)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # a command-line error is a config error (exit 1), not argparse's 2
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gridcascade",
         description="Cascading-failure simulator and mean-field solver",
     )
@@ -378,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (overrides config; required for simulate)")
+        if name == "simulate":
+            p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                        help="worker processes for Monte Carlo trials")
@@ -388,42 +402,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(args: argparse.Namespace) -> dict:
-    cfg_path = Path(args.config)
-    if not cfg_path.exists():
-        raise ConfigError(f"config file not found: {cfg_path}")
     try:
-        cfg = json.loads(cfg_path.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}")
+        cfg = json.loads(Path(args.config).read_text())
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
+        raise ConfigError(f"cannot read config {args.config}: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    if args.command == "simulate" and "seed" not in cfg:
-        raise ConfigError("simulate needs a seed (config 'seed' or --seed); "
-                          "there is no wall-clock default")
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
 
+    values = validate(args.command, cfg)
     writer = OutputWriter(Path(args.out), args.format)
-    if args.command == "simulate":
-        summary = cmd_simulate(cfg, writer, workers=max(1, args.threads))
-    elif args.command == "meanfield":
-        summary = cmd_meanfield(cfg, writer)
-    elif args.command == "bimodal-meanfield":
-        summary = cmd_bimodal_meanfield(cfg, writer)
-    elif args.command == "dcrit":
-        summary = cmd_dcrit(cfg, writer)
-    elif args.command == "sweep-dcrit":
-        summary = cmd_sweep_dcrit(cfg, writer)
-    else:
-        summary = cmd_sweep_bimodal(cfg, writer)
+    summary = COMMANDS[args.command][0](values, writer, args.threads)
     writer.write_manifest(args.command, cfg, summary)
     return summary
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        run_command(args)
+        run_command(build_parser().parse_args(argv))
         return 0
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -110,13 +110,6 @@ def test_cannot_step_finished_state():
         bimodal_step(trace[-1])
 
 
-def test_shifted_floor_variant_keeps_verdicts():
-    # sensitivity switch: same verdicts on both sides of the threshold
-    for d_m, expected in ((0.015, Verdict.SURVIVES), (0.03, Verdict.COMPLETE_OUTAGE)):
-        verdict, _ = run_bimodal(0.5, 0.9, 0.25, d_m, shifted_floor_in_pn=True)
-        assert verdict is expected
-
-
 def test_nan_disturbance_is_rejected_not_an_outage():
     # used to return COMPLETE_OUTAGE
     with pytest.raises(ValueError):

@@ -1,8 +1,13 @@
 import csv
 import hashlib
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gridcascade import harness
 from gridcascade.harness import main
@@ -338,3 +343,157 @@ def test_sweep_manifests_count_undetermined_searches(tmp_path, command, cfg, tab
         # the count stays out of the table
         assert "undetermined" not in (out / table).read_text()
     assert counts == {1e-4: 0, 1e-8: 2}
+
+
+MF_CFG = {"a0": 0.8, "d_m": 0.05}
+
+
+# A bad config exits 1, naming the key, before any table is written.
+@pytest.mark.parametrize("command,cfg,message", [
+    ("meanfield", dict(MF_CFG, a0="0.8"), "a0"),
+    ("meanfield", dict(MF_CFG, max_iter="5"), "max_iter"),
+    ("meanfield", dict(MF_CFG, tol="1e-9"), "tol"),
+    ("meanfield", dict(MF_CFG, d_m=True), "d_m"),
+    ("meanfield", dict(MF_CFG, d_m=10**400), "d_m"),  # no float holds it
+    ("meanfield", dict(MF_CFG, max_iter=True), "max_iter"),
+    ("meanfield", dict(MF_CFG, max_iter=0.5), "max_iter: must be an integer"),
+    ("bimodal-meanfield", {"a0": 0.9, "b0": 0.5, "pa": 0.25, "d_m": 0.05}, "a0 <= b0"),
+    ("sweep-bimodal", {"mean": "0.8", "a0_grid": [0.5, 0.8], "b0_grid": [0.8, 0.9]},
+     "mean"),
+    ("sweep-bimodal", {"mean": 0.8, "a0_grid": [-0.5, 0.8], "b0_grid": [0.8, 0.9]},
+     "a0_grid"),
+    ("sweep-dcrit", {"a0_grid": ["0.5"]}, "a0_grid"),
+    ("sweep-dcrit", {"a0_grid": [0.5], "tol_d": True}, "tol_d"),
+    ("sweep-dcrit", {"a0_grid": [0.5], "tol-d": 1e-3}, "unknown key(s) 'tol-d'"),
+    ("dcrit", {"model": {"kind": "unimodal", "a0": 0.8}, "tol_d": "1e-4"}, "tol_d"),
+    ("dcrit", {"model": [1]}, "model"),
+    ("dcrit", {"model": {"kind": "unimodal", "a0": 0.8, "b0": 0.9}}, "model"),
+    ("simulate", dict(SIM_CFG, load="kind"), "load"),
+    ("simulate", dict(SIM_CFG, d_m={"start": -1e308, "stop": 1e308, "step": 1e-3}),
+     "d_m"),
+])
+def test_bad_config_exits_1_before_any_table(tmp_path, capsys, command, cfg, message):
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["meanfield", "--config", "{cfg}", "--seed", "5"],  # --seed is simulate's
+    ["simulate", "--config", "{cfg}", "--threads", "0"],
+    ["simulate", "--config", "{cfg}", "--threads", "-2"],
+    ["simulate", "--config", "{cfg}", "--threads", "abc"],
+    ["simulate", "--config", "{cfg}", "--format", "xml"],
+    ["simulate"],
+    [],
+])
+def test_command_line_errors_exit_1(tmp_path, argv):
+    path = write_config(tmp_path, "cfg.json", SIM_CFG)
+    argv = [a.replace("{cfg}", path) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")] if argv else argv) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0():
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+
+
+def readme_config_examples() -> dict:
+    """The config example of each subcommand in README's jsonc block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    texts, command = {}, None
+    for line in block.splitlines():
+        heading = re.match(r"// ([\w-]+):", line)
+        if heading and heading.group(1) in harness.COMMANDS:
+            command = heading.group(1)
+        elif not line.lstrip().startswith("//"):
+            texts[command] = texts.get(command, "") + line + "\n"
+    return {c: json.loads(t) for c, t in texts.items() if t.strip()}
+
+
+def test_readme_config_examples_pass_validation():
+    examples = readme_config_examples()
+    assert sorted(examples) == sorted(harness.COMMANDS)
+    for command, cfg in examples.items():
+        harness.validate(command, cfg)
+
+
+# A small valid config per subcommand; the fuzz mutates one key of it.
+FUZZ_CFGS = {
+    "simulate": {"nodes": [10, 20], "edge_prob": {"start": 0.5, "stop": 1.0, "step": 0.5},
+                 "load": {"kind": "bimodal", "a0": 0.5, "b0": 0.9, "pa": 0.25},
+                 "d_m": 0.1, "trials": 3, "seed": 1},
+    "meanfield": {"a0": 0.8, "d_m": [0.03, 0.06], "max_iter": 50, "tol": 1e-9},
+    "bimodal-meanfield": {"a0": 0.5, "b0": 0.9, "pa": 0.25, "max_iter": 50, "tol": 1e-9,
+                          "d_m": {"start": 0.01, "stop": 0.03, "step": 0.01}},
+    "dcrit": {"model": {"kind": "bimodal", "a0": 0.5, "b0": 0.9, "pa": 0.25},
+              "tol_d": 1e-3},
+    "sweep-dcrit": {"a0_grid": {"start": 0.5, "stop": 0.8, "step": 0.3}, "tol_d": 1e-3},
+    "sweep-bimodal": {"mean": 0.8, "a0_grid": [0.5, 0.8], "b0_grid": [0.8, 0.9],
+                      "tol_d": 1e-3},
+}
+DELETE = "<delete>"
+MUTATIONS = st.one_of(
+    st.just(DELETE),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-300),
+    st.lists(st.integers() | st.floats() | st.text(max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers() | st.floats(), max_size=2),
+)
+
+
+def key_paths(cfg: dict) -> list:
+    """Every key of ``cfg`` and of the JSON objects it holds."""
+    nested = [(k, sub) for k, x in cfg.items() if isinstance(x, dict) for sub in x]
+    return [(k,) for k in cfg] + nested
+
+
+@pytest.fixture
+def cheap_library(monkeypatch):
+    """Still-valid mutations (say nodes=10**9) run the real library, shrunk
+    to a few trials, stages or bisection steps: it must accept them."""
+    real = {name: getattr(harness, name) for name in (
+        "monte_carlo", "run_recursion", "run_bimodal", "find_d_critical",
+        "sweep_dcrit_vs_a0", "sweep_bimodal_fixed_mean")}
+    patches = {
+        "monte_carlo": lambda n, p, spec, d_m, trials, seed, workers: real["monte_carlo"](
+            min(n, 5), p, spec, d_m, 1, seed, workers=1),
+        "run_recursion": lambda *args, max_iter, tol: real["run_recursion"](
+            *args, max_iter=min(max_iter, 3), tol=tol),
+        "run_bimodal": lambda *args, max_iter, tol: real["run_bimodal"](
+            *args, max_iter=min(max_iter, 3), tol=tol),
+        "find_d_critical": lambda model, tol_d: real["find_d_critical"](
+            model, tol_d=max(tol_d, 0.05)),
+        "sweep_dcrit_vs_a0": lambda grid, tol_d: real["sweep_dcrit_vs_a0"](
+            grid[:2], tol_d=max(tol_d, 0.05)),
+        "sweep_bimodal_fixed_mean": lambda mean, a0s, b0s, tol_d: real[
+            "sweep_bimodal_fixed_mean"](mean, a0s[:2], b0s[:2], tol_d=max(tol_d, 0.05)),
+    }
+    for name, fake in patches.items():
+        monkeypatch.setattr(harness, name, fake)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(FUZZ_CFGS)), data=st.data())
+def test_fuzzed_config_never_exits_2(tmp_path, cheap_library, command, data):
+    cfg = json.loads(json.dumps(FUZZ_CFGS[command]))
+    *parents, key = data.draw(st.sampled_from(key_paths(cfg)))
+    target = cfg[parents[0]] if parents else cfg
+    value = data.draw(MUTATIONS)
+    if value == DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    path = write_config(tmp_path, "cfg.json", cfg)
+    code = main([command, "--config", path, "--out", str(tmp_path / "out"),
+                 "--threads", "1"])
+    assert code in (0, 1), cfg
