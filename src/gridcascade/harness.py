@@ -305,6 +305,7 @@ def cmd_dcrit(v: dict, writer: OutputWriter, workers: int) -> dict:
         "d_critical": res.d_critical,
         "bracket": [res.d_low, res.d_high],
         "undetermined_in_bracket": res.undetermined_in_bracket,
+        "evaluations": res.evaluations,
     }
 
 
@@ -316,8 +317,11 @@ def cmd_sweep_dcrit(v: dict, writer: OutputWriter, workers: int) -> dict:
         [(r.a0, r.d_critical, r.headroom) for r in rows],
     )
     # manifest only: the table stays byte-identical
-    undetermined = sum(r.undetermined_in_bracket for r in rows)
-    return {"points": len(rows), "undetermined_searches": undetermined}
+    return {
+        "points": len(rows),
+        "undetermined_searches": sum(r.undetermined_in_bracket for r in rows),
+        "evaluations": sum(r.evaluations for r in rows),
+    }
 
 
 def cmd_sweep_bimodal(v: dict, writer: OutputWriter, workers: int) -> dict:
@@ -338,6 +342,7 @@ def cmd_sweep_bimodal(v: dict, writer: OutputWriter, workers: int) -> dict:
         "feasible_points": len(feasible),
         "best": {"a0": best.a0, "b0": best.b0, "d_critical": best.d_critical},
         "undetermined_searches": sum(r.undetermined_in_bracket for r in feasible),
+        "evaluations": sum(r.evaluations for r in feasible),
     }
 
 

@@ -32,6 +32,7 @@ class ThresholdResult:
     resolution: float
     method: str    # "scan" or "bisection"
     undetermined_in_bracket: bool = False  # some probe was Undetermined
+    evaluations: int = 0  # distinct disturbance levels evaluated
 
 
 def model_verdict(
@@ -60,18 +61,28 @@ def find_d_critical(
 ) -> ThresholdResult:
     """Bisect the survive/fail boundary in the disturbance mean.
 
-    The final bracket endpoints are re-verified: survives at d_low, fails
-    at d_high. ``undetermined_in_bracket`` reports whether any probe of the
-    search, scan or bisection, came back Undetermined.
+    Each disturbance level is evaluated at most once per search and its
+    verdict recorded; the verdict is a pure function of
+    ``(model, d, max_iter, tol)``, so a re-run could only repeat it. The
+    final bracket endpoints are checked against their recorded verdicts:
+    survives at d_low, fails at d_high. Bisection stops at ``tol_d`` or at
+    two adjacent floats, whichever comes first. ``undetermined_in_bracket``
+    reports whether any probe, scan or bisection, came back Undetermined;
+    ``evaluations`` counts the levels evaluated.
     """
     if not 0.0 < tol_d < math.inf:
         raise ValueError(f"tol_d must be finite and > 0, got {tol_d}")
-    seen = set()
+    probes: dict[float, Verdict] = {}
 
     def fails(d: float) -> bool:
-        v = model_verdict(model, d, max_iter=max_iter, tol=tol)
-        seen.add(v)
-        return _fails(v)
+        if d not in probes:
+            probes[d] = model_verdict(model, d, max_iter=max_iter, tol=tol)
+        return _fails(probes[d])
+
+    def result(d_critical: float, lo: float, hi: float) -> ThresholdResult:
+        return ThresholdResult(d_critical, lo, hi, tol_d, "bisection",
+                               Verdict.UNDETERMINED in probes.values(),
+                               len(probes))
 
     # geometric scan for a surviving lower endpoint
     lo = 1e-3
@@ -79,8 +90,7 @@ def find_d_critical(
         lo /= 4.0
         if lo < 1e-15:
             # no headroom at any resolvable disturbance
-            return ThresholdResult(0.0, 0.0, 1e-15, tol_d, "bisection",
-                                   Verdict.UNDETERMINED in seen)
+            return result(0.0, 0.0, 1e-15)
     # geometric scan for a failing upper endpoint
     hi = lo
     while not fails(hi):
@@ -89,25 +99,20 @@ def find_d_critical(
             raise NonMonotoneError(
                 f"no failing disturbance found below d_max={d_max}"
             )
-    lo = hi / 2.0
+    lo = hi / 2.0  # the last surviving scan point (power-of-2 scaling is exact)
     while hi - lo > tol_d:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats
         if fails(mid):
             hi = mid
         else:
             lo = mid
-    if fails(lo) or not fails(hi):
+    if _fails(probes[lo]) or not _fails(probes[hi]):
         raise NonMonotoneError(
-            f"bracket endpoints failed re-verification: lo={lo}, hi={hi}"
+            f"bracket endpoints failed verification: lo={lo}, hi={hi}"
         )
-    return ThresholdResult(
-        d_critical=0.5 * (lo + hi),
-        d_low=lo,
-        d_high=hi,
-        resolution=tol_d,
-        method="bisection",
-        undetermined_in_bracket=Verdict.UNDETERMINED in seen,
-    )
+    return result(0.5 * (lo + hi), lo, hi)
 
 
 def coarse_scan(
@@ -132,6 +137,7 @@ class UnimodalSweepRow:
     d_critical: float
     headroom: float  # excess capacity 1 - a0
     undetermined_in_bracket: bool = False
+    evaluations: int = 0  # of the search, for the manifest only
 
 
 def sweep_dcrit_vs_a0(a0_grid: list[float], tol_d: float = 1e-4) -> list[UnimodalSweepRow]:
@@ -140,7 +146,7 @@ def sweep_dcrit_vs_a0(a0_grid: list[float], tol_d: float = 1e-4) -> list[Unimoda
     for a0 in a0_grid:
         res = find_d_critical(DeltaLoads(a0), tol_d=tol_d)
         rows.append(UnimodalSweepRow(a0, res.d_critical, 1.0 - a0,
-                                     res.undetermined_in_bracket))
+                                     res.undetermined_in_bracket, res.evaluations))
     return rows
 
 
@@ -152,6 +158,7 @@ class FixedMeanSweepRow:
     d_critical: float
     feasible: bool
     undetermined_in_bracket: bool = False
+    evaluations: int = 0  # of the search (0 for a marker row), for the manifest only
 
 
 def sweep_bimodal_fixed_mean(
@@ -184,5 +191,5 @@ def sweep_bimodal_fixed_mean(
                 continue
             res = find_d_critical(model, tol_d=tol_d)
             rows.append(FixedMeanSweepRow(a0, b0, pa, res.d_critical, True,
-                                          res.undetermined_in_bracket))
+                                          res.undetermined_in_bracket, res.evaluations))
     return rows

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gridcascade import harness
+from gridcascade import BimodalLoads, DeltaLoads, find_d_critical, harness
 from gridcascade.harness import main
 
 
@@ -343,6 +343,23 @@ def test_sweep_manifests_count_undetermined_searches(tmp_path, command, cfg, tab
         # the count stays out of the table
         assert "undetermined" not in (out / table).read_text()
     assert counts == {1e-4: 0, 1e-8: 2}
+
+
+@pytest.mark.parametrize("command,cfg,table,searches", [
+    ("dcrit", {"model": {"kind": "unimodal", "a0": 0.8}}, "dcrit.csv",
+     [DeltaLoads(0.8)]),
+    ("sweep-dcrit", {"a0_grid": [0.5, 0.8]}, "dcrit_vs_a0.csv",
+     [DeltaLoads(0.5), DeltaLoads(0.8)]),
+    ("sweep-bimodal", {"mean": 0.8, "a0_grid": [0.5, 0.8], "b0_grid": [0.8, 0.9]},
+     "dcrit_fixed_mean.csv", [BimodalLoads(0.5, 0.9, 0.25), DeltaLoads(0.8)]),
+])
+def test_manifests_count_threshold_evaluations(tmp_path, command, cfg, table, searches):
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    expected = sum(find_d_critical(model).evaluations for model in searches)
+    assert manifest["summary"]["evaluations"] == expected > 0
+    assert "evaluations" not in (tmp_path / "out" / table).read_text()
 
 
 MF_CFG = {"a0": 0.8, "d_m": 0.05}

@@ -5,11 +5,13 @@ import pytest
 from gridcascade import (
     BimodalLoads,
     DeltaLoads,
+    ThresholdResult,
     Verdict,
     coarse_scan,
     find_d_critical,
     sweep_bimodal_fixed_mean,
     sweep_dcrit_vs_a0,
+    threshold,
 )
 from gridcascade.threshold import model_verdict
 
@@ -134,3 +136,61 @@ def test_fixed_mean_continuity_near_diagonal():
     diag = find_d_critical(DeltaLoads(0.8)).d_critical
     assert near.feasible
     assert abs(near.d_critical - diag) / diag < 0.2
+
+
+# find_d_critical results recorded before the search kept a probe record
+RECORDED = [
+    (DeltaLoads(0.8), ThresholdResult(
+        0.04928125, 0.04925, 0.0493125, 0.0001, "bisection", False, 16)),
+    (BimodalLoads(0.5, 0.9, 0.25), ThresholdResult(
+        0.02196875, 0.0219375, 0.022, 0.0001, "bisection", False, 14)),
+    (BimodalLoads(0.4, 0.9, 0.8), ThresholdResult(
+        0.04828125, 0.04825, 0.0483125, 0.0001, "bisection", False, 16)),
+]
+
+
+@pytest.mark.parametrize("model,expected", RECORDED)
+def test_each_level_is_probed_once(monkeypatch, model, expected):
+    probed = []
+
+    def counting(model, d, **kwargs):
+        probed.append(d)
+        return model_verdict(model, d, **kwargs)
+
+    monkeypatch.setattr(threshold, "model_verdict", counting)
+    res = find_d_critical(model)
+    assert len(probed) == len(set(probed)) == res.evaluations
+    assert res == expected
+
+
+@pytest.mark.parametrize("tol_d,max_iter", [(1e-4, 10_000), (1e-18, 500)])
+@pytest.mark.parametrize("model", [
+    *(DeltaLoads(a0) for a0 in (0.3, 0.6, 0.8, 0.95)),
+    BimodalLoads(0.5, 0.9, 0.25),
+    BimodalLoads(0.4, 0.9, 0.8),
+], ids=repr)
+def test_bracket_endpoints_hold_on_a_fresh_evaluation(model, tol_d, max_iter):
+    # the search checks its endpoints against recorded verdicts only; a
+    # fresh run must agree (max_iter is cut at 1e-18 to keep the test fast)
+    res = find_d_critical(model, tol_d=tol_d, max_iter=max_iter)
+    assert model_verdict(model, res.d_low, max_iter=max_iter) is Verdict.SURVIVES
+    assert model_verdict(model, res.d_high, max_iter=max_iter) is not Verdict.SURVIVES
+    if tol_d < 1e-17:
+        assert math.nextafter(res.d_low, math.inf) >= res.d_high
+
+
+def test_tolerance_below_float_spacing_stops_at_adjacent_floats():
+    # the bisection used to spin forever once mid equalled an endpoint
+    res = find_d_critical(DeltaLoads(0.8), tol_d=1e-18)
+    assert math.nextafter(res.d_low, math.inf) == res.d_high
+    assert 0.045 <= res.d_critical <= 0.052
+    assert model_verdict(DeltaLoads(0.8), res.d_low) is Verdict.SURVIVES
+    assert model_verdict(DeltaLoads(0.8), res.d_high) is not Verdict.SURVIVES
+
+
+def test_sweeps_carry_the_evaluation_count():
+    (row,) = sweep_dcrit_vs_a0([0.8])
+    assert row.evaluations == find_d_critical(DeltaLoads(0.8)).evaluations > 0
+    rows = sweep_bimodal_fixed_mean(0.8, [0.5, 0.85], [0.9])
+    assert rows[0].evaluations == find_d_critical(BimodalLoads(0.5, 0.9, 0.25)).evaluations
+    assert not rows[1].feasible and rows[1].evaluations == 0
