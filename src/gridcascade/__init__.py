@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .bimodal import BimodalState, Branch, bimodal_step, init_bimodal, run_bimodal
+from .bimodal import BimodalState, Branch, run_bimodal
 from .cascade import (
     AggregateStats,
     BimodalLoads,
@@ -21,13 +21,7 @@ from .cascade import (
     validate_redistribution_limit,
 )
 from .graph import GraphTopology, generate_er_graph
-from .meanfield import (
-    MeanFieldState,
-    Verdict,
-    init_recursion,
-    recursion_step,
-    run_recursion,
-)
+from .meanfield import MeanFieldState, Verdict, run_recursion
 from .threshold import (
     FixedMeanSweepRow,
     NonMonotoneError,
@@ -57,15 +51,11 @@ __all__ = [
     "UnimodalSweepRow",
     "Verdict",
     "apply_disturbance",
-    "bimodal_step",
     "coarse_scan",
     "find_d_critical",
     "generate_er_graph",
-    "init_bimodal",
     "init_loads",
-    "init_recursion",
     "monte_carlo",
-    "recursion_step",
     "run_bimodal",
     "run_cascade",
     "run_recursion",

@@ -10,6 +10,11 @@ form on the lower floor. Three mutually exclusive branches per stage:
     LOWER_ONLY    only the a-mode remains
 
 Once the upper mode dies, b_n is clamped to 1 and stays there.
+
+A stage row extends the unimodal one to
+``(n, a_n, p_n, D_n, mu_prev, b_n, branch, p_tilde)``; ``run_bimodal``
+returns one ``BimodalState`` per row, the row's fields followed by the
+verdict.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .meanfield import (
     iterate,
     mean_failed_load,
     next_failure_probability,
+    trace,
 )
 
 
@@ -42,19 +48,16 @@ INIT, BOTH_ALIVE, UPPER_DIES, LOWER_ONLY = Branch  # bound once, as in meanfield
 
 @dataclass(frozen=True)
 class BimodalState:
-    """One stage of the two-mode recursion."""
+    """One stage of the two-mode recursion: its row, then the verdict."""
 
     n: int
     a_n: float
-    b_n: float
     p_n: float
     D_n: float
     mu_prev: float
-    d_m: float
-    pa: float
-    pb: float
-    branch: Branch = Branch.INIT
-    p_tilde: float = math.nan  # intermediate failing mass of the UPPER_DIES branch
+    b_n: float
+    branch: Branch
+    p_tilde: float  # intermediate failing mass of the UPPER_DIES branch, else nan
     verdict: Verdict = Verdict.RUNNING
 
 
@@ -124,29 +127,6 @@ def _step(row: tuple, params: tuple):
     return verdict, (n + 1, a_next, p_next, D_next, mu, b_next, branch, p_tilde)
 
 
-def _state(row: tuple, verdict: Verdict, d_m: float, pa: float, pb: float) -> BimodalState:
-    # a row is (n, a_n, p_n, D_n, mu_prev, b_n, branch, p_tilde)
-    n, a, p, D, mu, b, branch, p_tilde = row
-    return BimodalState(n, a, b, p, D, mu, d_m, pa, pb, branch, p_tilde, verdict)
-
-
-def init_bimodal(a0: float, b0: float, pa: float, d_m: float) -> BimodalState:
-    """Stage-1 state of the two-mode recursion."""
-    verdict, row = _init(a0, b0, pa, d_m)
-    return _state(row, verdict, d_m, pa, 1.0 - pa)
-
-
-def bimodal_step(state: BimodalState) -> BimodalState:
-    """Advance one stage, applying exactly one branch."""
-    if state.verdict is not RUNNING:
-        raise ValueError(f"cannot step a recursion with verdict {state.verdict}")
-    row = (state.n, state.a_n, state.p_n, state.D_n, state.mu_prev, state.b_n,
-           state.branch, state.p_tilde)
-    params = (state.d_m, state.pa, state.pb)
-    verdict, row = _step(row, params)
-    return _state(row, verdict, state.d_m, state.pa, state.pb)
-
-
 def bimodal_rows(a0: float, b0: float, pa: float, d_m: float, max_iter: int = 10_000,
                  tol: float = 1e-12):
     """The verdict and the stage rows of ``run_bimodal``, with no trace."""
@@ -164,7 +144,4 @@ def run_bimodal(
 ) -> tuple[Verdict, list[BimodalState]]:
     """Iterate the two-mode recursion to a verdict, as in the unimodal case."""
     verdict, rows = bimodal_rows(a0, b0, pa, d_m, max_iter, tol)
-    pb = 1.0 - pa
-    trace = [_state(row, RUNNING, d_m, pa, pb) for row in rows[:-1]]
-    trace.append(_state(rows[-1], verdict, d_m, pa, pb))
-    return verdict, trace
+    return verdict, trace(BimodalState, verdict, rows)

@@ -248,9 +248,9 @@ def run_trial(
     return run_cascade(g, loads)
 
 
-def _trial_task(args) -> tuple[int, CascadeOutcome]:
+def _trial_task(args) -> CascadeOutcome:
     n, p, spec, d_m, master_seed, k = args
-    return k, run_trial(n, p, spec, d_m, trial_rng(master_seed, k))
+    return run_trial(n, p, spec, d_m, trial_rng(master_seed, k))
 
 
 def monte_carlo(
@@ -268,10 +268,9 @@ def monte_carlo(
     tasks = [(n, p, spec, d_m, master_seed, k) for k in range(trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = sorted(pool.map(_trial_task, tasks, chunksize=8))
+            outcomes = tuple(pool.map(_trial_task, tasks, chunksize=8))  # in task order
     else:
-        results = [_trial_task(t) for t in tasks]
-    outcomes = tuple(out for _, out in results)
+        outcomes = tuple(map(_trial_task, tasks))
     fractions = np.array([o.survivor_fraction for o in outcomes])
     return AggregateStats(
         trials=trials,

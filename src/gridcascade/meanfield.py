@@ -11,6 +11,11 @@ stage, so the whole system is captured by four scalars per stage:
 
 The cascade dies out when p_n -> 0 (floor stays below capacity) and ends
 in a complete outage when the floor is pushed to capacity 1.
+
+``recursion_rows`` iterates these scalars as plain stage rows
+``(n, a_n, p_n, D_n, mu_prev)``, mu_prev being the mu that produced D_n.
+``run_recursion`` returns the same rows as a trace: one ``MeanFieldState``
+per row, the row's fields followed by the verdict.
 """
 
 from __future__ import annotations
@@ -33,14 +38,13 @@ RUNNING, SURVIVES, COMPLETE_OUTAGE, UNDETERMINED = Verdict
 
 @dataclass(frozen=True)
 class MeanFieldState:
-    """One stage of the scalar recursion."""
+    """One stage of the scalar recursion: its row, then the verdict."""
 
     n: int
     a_n: float
     p_n: float
     D_n: float
     mu_prev: float
-    d_m: float
     verdict: Verdict = Verdict.RUNNING
 
 
@@ -79,6 +83,12 @@ def iterate(first, step, params, max_iter: int, tol: float):
         verdict, row = step(row, params)
         rows.append(row)
     return (UNDETERMINED if verdict is RUNNING else verdict), rows
+
+
+def trace(cls, verdict: Verdict, rows: list) -> list:
+    """One ``cls`` state per stage row: the row's fields, then the verdict,
+    ``verdict`` on the last state and RUNNING before it."""
+    return [cls(*row) for row in rows[:-1]] + [cls(*rows[-1], verdict)]
 
 
 def next_failure_probability(q: float, D: float, d_m: float) -> float:
@@ -124,22 +134,6 @@ def _step(row: tuple, d_m: float):
     return verdict, (n + 1, a_next, p_next, D_next, mu)
 
 
-def init_recursion(a0: float, d_m: float) -> MeanFieldState:
-    """Stage-1 state: p0, the first redistributed load D1, and p1."""
-    verdict, row = _init(a0, d_m)
-    return MeanFieldState(*row, d_m, verdict)
-
-
-def recursion_step(state: MeanFieldState) -> MeanFieldState:
-    """Advance one stage; classifies blackout when the surviving mass is
-    pushed past capacity or the failure probability saturates."""
-    if state.verdict is not RUNNING:
-        raise ValueError(f"cannot step a recursion with verdict {state.verdict}")
-    row = (state.n, state.a_n, state.p_n, state.D_n, state.mu_prev)
-    verdict, row = _step(row, state.d_m)
-    return MeanFieldState(*row, state.d_m, verdict)
-
-
 def recursion_rows(a0: float, d_m: float, max_iter: int = 10_000, tol: float = 1e-12):
     """The verdict and the stage rows of ``run_recursion``, with no trace."""
     return iterate(_init(a0, d_m), _step, d_m, max_iter, tol)
@@ -157,6 +151,4 @@ def run_recursion(
     stages pass without resolution (slow dynamics near the threshold).
     """
     verdict, rows = recursion_rows(a0, d_m, max_iter, tol)
-    trace = [MeanFieldState(*row, d_m) for row in rows[:-1]]
-    trace.append(MeanFieldState(*rows[-1], d_m, verdict))
-    return verdict, trace
+    return verdict, trace(MeanFieldState, verdict, rows)

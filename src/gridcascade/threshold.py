@@ -55,7 +55,6 @@ def _fails(v: Verdict) -> bool:
 def find_d_critical(
     model: MeanFieldModel,
     tol_d: float = 1e-4,
-    d_max: float = 1.0,
     max_iter: int = 10_000,
     tol: float = 1e-12,
 ) -> ThresholdResult:
@@ -95,10 +94,8 @@ def find_d_critical(
     hi = lo
     while not fails(hi):
         hi *= 2.0
-        if hi > d_max:
-            raise NonMonotoneError(
-                f"no failing disturbance found below d_max={d_max}"
-            )
+        if hi > 1.0:
+            raise NonMonotoneError("no failing disturbance found below d_max=1.0")
     lo = hi / 2.0  # the last surviving scan point (power-of-2 scaling is exact)
     while hi - lo > tol_d:
         mid = 0.5 * (lo + hi)

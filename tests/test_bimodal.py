@@ -2,18 +2,15 @@ import math
 
 import pytest
 
-from gridcascade import (
-    Branch,
-    Verdict,
-    bimodal_step,
-    init_bimodal,
-    run_bimodal,
-    run_recursion,
-)
+from gridcascade import Branch, Verdict, run_bimodal, run_recursion
+
+
+def stage_one(*args):
+    return run_bimodal(*args)[1][0]
 
 
 def test_initializer_value():
-    state = init_bimodal(0.5, 0.9, 0.25, 0.05)
+    state = stage_one(0.5, 0.9, 0.25, 0.05)
     p0 = 0.25 * math.exp(-10) + 0.75 * math.exp(-2)
     assert p0 == pytest.approx(0.101513, abs=1e-6)
     assert state.D_n == pytest.approx(p0 / (1 - p0) * 1.05)
@@ -22,17 +19,15 @@ def test_initializer_value():
 
 
 def test_initializer_single_mode_weight_depends_only_on_that_mode():
-    only_b = init_bimodal(0.5, 0.9, 0.0, 0.05)
-    other_a = init_bimodal(0.3, 0.9, 0.0, 0.05)
+    only_b = stage_one(0.5, 0.9, 0.0, 0.05)
+    other_a = stage_one(0.3, 0.9, 0.0, 0.05)
     assert only_b.p_n == other_a.p_n
     assert only_b.D_n == other_a.D_n
 
 
 def test_equal_modes_match_unimodal_initializer():
-    from gridcascade import init_recursion
-
-    bi = init_bimodal(0.8, 0.8, 1.0, 0.05)
-    uni = init_recursion(0.8, 0.05)
+    bi = stage_one(0.8, 0.8, 1.0, 0.05)
+    uni = run_recursion(0.8, 0.05)[1][0]
     assert bi.p_n == pytest.approx(uni.p_n, rel=1e-12)
     assert bi.D_n == pytest.approx(uni.D_n, rel=1e-12)
 
@@ -44,7 +39,7 @@ def test_equal_modes_match_unimodal_initializer():
 )
 def test_initializer_domain_errors(args):
     with pytest.raises(ValueError):
-        init_bimodal(*args)
+        run_bimodal(*args)
 
 
 @pytest.mark.parametrize("d_m", [0.01, 0.03, 0.045, 0.05, 0.07])
@@ -104,12 +99,6 @@ def test_mode_floors_stay_ordered():
             assert s.a_n <= s.b_n <= 1.0 + 1e-12
 
 
-def test_cannot_step_finished_state():
-    verdict, trace = run_bimodal(0.5, 0.9, 0.25, 0.03)
-    with pytest.raises(ValueError):
-        bimodal_step(trace[-1])
-
-
 def test_nan_disturbance_is_rejected_not_an_outage():
     # used to return COMPLETE_OUTAGE
     with pytest.raises(ValueError):
@@ -121,8 +110,6 @@ def test_nan_disturbance_is_rejected_not_an_outage():
 def test_nonfinite_inputs_are_rejected(bad, slot):
     args = [0.5, 0.9, 0.25, 0.05]
     args[slot] = bad
-    with pytest.raises(ValueError):
-        init_bimodal(*args)
     with pytest.raises(ValueError):
         run_bimodal(*args)
 

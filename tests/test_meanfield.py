@@ -2,12 +2,16 @@ import math
 
 import pytest
 
-from gridcascade import Verdict, init_recursion, recursion_step, run_recursion
+from gridcascade import Verdict, run_recursion
 from gridcascade.meanfield import mean_failed_load
 
 
+def stage_one(a0, d_m):
+    return run_recursion(a0, d_m)[1][0]
+
+
 def test_initializer_values():
-    state = init_recursion(0.8, 0.1)
+    state = stage_one(0.8, 0.1)
     p0 = math.exp(-2)
     D1 = p0 / (1 - p0) * 1.1
     assert D1 == pytest.approx(0.17216940702463226)
@@ -18,7 +22,7 @@ def test_initializer_values():
 
 
 def test_initializer_low_load():
-    state = init_recursion(0.5, 0.1)
+    state = stage_one(0.5, 0.1)
     assert math.exp(-5) == pytest.approx(0.006737946999085467)
     assert state.D_n == pytest.approx(
         math.exp(-5) / (1 - math.exp(-5)) * 1.1
@@ -26,7 +30,7 @@ def test_initializer_low_load():
 
 
 def test_initializer_vanishing_disturbance():
-    state = init_recursion(0.8, 1e-4)
+    state = stage_one(0.8, 1e-4)
     assert state.D_n < 1e-100
     assert state.p_n < 1e-100
 
@@ -34,7 +38,7 @@ def test_initializer_vanishing_disturbance():
 @pytest.mark.parametrize("a0,d_m", [(0.0, 0.1), (1.0, 0.1), (0.5, 0.0), (0.5, -1)])
 def test_initializer_domain_errors(a0, d_m):
     with pytest.raises(ValueError):
-        init_recursion(a0, d_m)
+        run_recursion(a0, d_m)
 
 
 def test_mean_failed_load_limit_and_bounds():
@@ -47,15 +51,11 @@ def test_mean_failed_load_limit_and_bounds():
 
 
 def test_subcritical_failure_probabilities_decrease():
-    state = init_recursion(0.8, 0.03)
-    assert state.p_n == pytest.approx(5.70e-5, rel=0.05)
-    prev = state.p_n
-    for _ in range(5):
-        state = recursion_step(state)
-        if state.verdict is not Verdict.RUNNING:
-            break
-        assert state.p_n < prev
-        prev = state.p_n
+    _, trace = run_recursion(0.8, 0.03)
+    assert trace[0].p_n == pytest.approx(5.70e-5, rel=0.05)
+    p = [s.p_n for s in trace]
+    assert len(p) >= 6  # stage 1 and at least five steps
+    assert all(b < a for a, b in zip(p, p[1:]))
 
 
 def test_supercritical_run_blacks_out():
@@ -95,12 +95,6 @@ def test_max_iter_exhaustion_is_undetermined():
     assert verdict is Verdict.UNDETERMINED
 
 
-def test_cannot_step_finished_state():
-    verdict, trace = run_recursion(0.8, 0.07)
-    with pytest.raises(ValueError):
-        recursion_step(trace[-1])
-
-
 def test_nan_disturbance_is_rejected_not_undetermined():
     # used to run all 10,000 stages and return Undetermined
     with pytest.raises(ValueError):
@@ -110,8 +104,8 @@ def test_nan_disturbance_is_rejected_not_undetermined():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonfinite_inputs_are_rejected(bad):
     with pytest.raises(ValueError):
-        init_recursion(bad, 0.05)
+        run_recursion(bad, 0.05)
     with pytest.raises(ValueError):
-        init_recursion(0.8, bad)
+        run_recursion(0.8, bad)
     with pytest.raises(ValueError):
         run_recursion(0.8, 0.03, tol=bad)

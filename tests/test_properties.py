@@ -1,5 +1,7 @@
 """Randomized invariant checks for the cascade engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from gridcascade import (
     CascadeState,
     DeltaLoads,
     UniformLoads,
+    Verdict,
     apply_disturbance,
     generate_er_graph,
     init_loads,
@@ -19,7 +22,10 @@ from gridcascade import (
     run_recursion,
     step_cascade,
 )
+import gridcascade
+from gridcascade.bimodal import bimodal_rows
 from gridcascade.graph import GraphTopology
+from gridcascade.meanfield import recursion_rows
 from gridcascade.threshold import model_verdict
 
 
@@ -141,8 +147,17 @@ def test_model_verdict_matches_the_traced_run(a0, gap, pa, d_m, bimodal, max_ite
         b0 = min(a0 + gap, 0.99)
         model = BimodalLoads(a0, b0, pa)
         verdict, trace = run_bimodal(a0, b0, pa, d_m, max_iter=max_iter)
+        _, rows = bimodal_rows(a0, b0, pa, d_m, max_iter=max_iter)
     else:
         model = DeltaLoads(a0)
         verdict, trace = run_recursion(a0, d_m, max_iter=max_iter)
+        _, rows = recursion_rows(a0, d_m, max_iter=max_iter)
     assert trace[-1].verdict is verdict
+    assert all(s.verdict is Verdict.RUNNING for s in trace[:-1])
+    # a state is its row, then the verdict; repr compares the nan p_tilde
+    assert repr([dataclasses.astuple(s)[:-1] for s in trace]) == repr(rows)
     assert model_verdict(model, d_m, max_iter=max_iter) is verdict
+
+
+def test_every_exported_name_resolves():
+    assert [n for n in gridcascade.__all__ if not hasattr(gridcascade, n)] == []

@@ -5,6 +5,7 @@ import pytest
 from gridcascade import (
     BimodalLoads,
     DeltaLoads,
+    NonMonotoneError,
     ThresholdResult,
     Verdict,
     coarse_scan,
@@ -78,6 +79,29 @@ def test_coarse_scan_single_flip():
     out = coarse_scan(DeltaLoads(0.8), grid)
     fails = [v is not Verdict.SURVIVES for _, v in out]
     assert sum(1 for a, b in zip(fails, fails[1:]) if a != b) == 1
+
+
+def stub_verdicts(monkeypatch, verdict_at):
+    monkeypatch.setattr(threshold, "model_verdict", lambda model, d, **kwargs: verdict_at(d))
+
+
+def test_search_without_a_failing_level_raises(monkeypatch):
+    stub_verdicts(monkeypatch, lambda d: Verdict.SURVIVES)
+    with pytest.raises(NonMonotoneError, match="below d_max=1.0"):
+        find_d_critical(DeltaLoads(0.8))
+
+
+def test_search_failing_at_every_level_reports_no_headroom(monkeypatch):
+    stub_verdicts(monkeypatch, lambda d: Verdict.COMPLETE_OUTAGE)
+    res = find_d_critical(DeltaLoads(0.8))
+    assert (res.d_critical, res.d_low, res.d_high) == (0.0, 0.0, 1e-15)
+
+
+def test_coarse_scan_rejects_two_flips(monkeypatch):
+    stub_verdicts(monkeypatch, lambda d: (
+        Verdict.COMPLETE_OUTAGE if 0.02 < d < 0.05 else Verdict.SURVIVES))
+    with pytest.raises(NonMonotoneError, match="flipped 2 times"):
+        coarse_scan(DeltaLoads(0.8), [0.01 * i for i in range(1, 8)])
 
 
 def test_sweep_singleton_matches_direct_search():
