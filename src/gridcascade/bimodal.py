@@ -11,10 +11,11 @@ form on the lower floor. Three mutually exclusive branches per stage:
 
 Once the upper mode dies, b_n is clamped to 1 and stays there.
 
-A stage row extends the unimodal one to
-``(n, a_n, p_n, D_n, mu_prev, b_n, branch, p_tilde)``; ``run_bimodal``
-returns one ``BimodalState`` per row, the row's fields followed by the
-verdict.
+``bimodal_verdict`` runs the stages in one loop, as ``recursion_verdict``
+does, and appends each stage row to a list when given one. A row extends
+the unimodal one to ``(n, a_n, p_n, D_n, mu_prev, b_n, branch, p_tilde)``;
+``bimodal_rows`` collects them and ``run_bimodal`` returns one
+``BimodalState`` per row, the row's fields followed by the verdict.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from dataclasses import dataclass
 from .meanfield import (
     COMPLETE_OUTAGE,
     RUNNING,
+    SURVIVES,
+    UNDETERMINED,
     Verdict,
-    failure_probability,
+    check_budget,
     first_stage,
-    iterate,
-    mean_failed_load,
-    next_failure_probability,
     trace,
 )
 
@@ -62,7 +62,7 @@ class BimodalState:
 
 
 def _mode_failure_probability(a: float, b: float, pa: float, pb: float, d_m: float) -> float:
-    # failure_probability of each floor, inlined: this runs at every stage
+    # failure_probability of each floor, weighted
     return pa * math.exp(-(1.0 - a) / d_m) + pb * math.exp(-(1.0 - min(b, 1.0)) / d_m)
 
 
@@ -80,58 +80,96 @@ def _init(a0: float, b0: float, pa: float, d_m: float):
     return verdict, (1, a0, p1, D1, 1.0 + d_m, b0, INIT, math.nan)
 
 
-def _step(row: tuple, params: tuple):
-    n, a, p, D, mu_prev, b, _, p_tilde = row
-    d_m, pa, pb = params
-    try:
-        if D < (1.0 - b) and b < 1.0:
-            branch, a_next, b_next, p_tilde = BOTH_ALIVE, a + D, b + D, math.nan
-            mu = mean_failed_load(D, d_m)
-            D_next = p / (1.0 - p) * mu
-            q = _mode_failure_probability(a_next, b_next, pa, pb, d_m)
-            p_next = next_failure_probability(q, D_next, d_m)
-        elif (1.0 - a) > D >= (1.0 - b) and b < 1.0:
-            if pa == 0.0:
-                # no lower mode: killing the upper mode kills everyone
-                return COMPLETE_OUTAGE, (n + 1, a, p, D, mu_prev, 1.0, UPPER_DIES, p_tilde)
-            branch, a_next, b_next = UPPER_DIES, a + D, 1.0
-            # failing mass this stage: the slice of the a-mode crossing
-            # capacity plus the entire remaining b-mode
-            p_tilde = (
-                pa * (math.exp(-(1.0 - a - D) / d_m) - math.exp(-(1.0 - a) / d_m))
-                + pb * (1.0 - math.exp(-(1.0 - b) / d_m))
-            )
-            num = (
-                pa * math.exp(-(1.0 - a_next) / d_m)
-                * (1.0 + d_m - (1.0 + D + d_m) * math.exp(-D / d_m))
-                + pb * (b + D + d_m - (1.0 + D + d_m) * math.exp(-(1.0 - b) / d_m))
-            )
-            mu = num / p_tilde if p_tilde > 0 else 1.0 + d_m
-            D_next = p / (1.0 - p) * mu
-            p_next = 1.0 - (
-                pa * (1.0 - math.exp(-(1.0 - a_next) / d_m))
-                / (1.0 - (pa * math.exp(-(1.0 - a) / d_m) + pb))
-            )
-        elif D < (1.0 - a) and a < 1.0 and b == 1.0:
-            branch, a_next, b_next, p_tilde = LOWER_ONLY, a + D, b, math.nan
-            mu = mean_failed_load(D, d_m)
-            D_next = p / (1.0 - p) * mu
-            q = failure_probability(a_next, d_m)
-            p_next = next_failure_probability(q, D_next, d_m)
-        else:
-            # remaining mass pushed past capacity
-            return COMPLETE_OUTAGE, (n + 1, *row[1:])
-    except (OverflowError, ZeroDivisionError):
-        return COMPLETE_OUTAGE, (n + 1, *row[1:])
-    verdict = COMPLETE_OUTAGE if not 0.0 <= p_next < 1.0 or a_next >= 1.0 else RUNNING
-    return verdict, (n + 1, a_next, p_next, D_next, mu, b_next, branch, p_tilde)
+def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int = 10_000,
+                    tol: float = 1e-12, rows: list | None = None) -> Verdict:
+    """The verdict of ``run_bimodal``; each stage row goes to ``rows`` when
+    a list is given. BOTH_ALIVE and LOWER_ONLY share the unimodal stage
+    formulas, written inline as in ``recursion_verdict``, and differ only
+    in the failing mass q of the shifted floors."""
+    verdict, row = _init(a0, b0, pa, d_m)
+    check_budget(max_iter, tol)
+    if rows is not None:
+        rows.append(row)
+    if verdict is not RUNNING:
+        return verdict
+    pb = 1.0 - pa
+    n, a, p, D, mu, b, branch, p_tilde = row
+    exp, expm1, inf, nan = math.exp, math.expm1, math.inf, math.nan
+    for _ in range(max_iter):
+        if p < tol:
+            return SURVIVES
+        try:
+            if D < (1.0 - b) and b < 1.0:
+                branch_next, b_next = BOTH_ALIVE, b + D
+            elif (1.0 - a) > D >= (1.0 - b) and b < 1.0:
+                branch_next, b_next = UPPER_DIES, 1.0
+            elif D < (1.0 - a) and a < 1.0 and b == 1.0:
+                branch_next, b_next = LOWER_ONLY, b
+            else:
+                branch_next = None  # remaining mass pushed past capacity
+            a_next = a + D
+            if branch_next is UPPER_DIES:
+                if pa == 0.0:
+                    # no lower mode: killing the upper mode kills everyone
+                    if rows is not None:
+                        rows.append((n + 1, a, p, D, mu, 1.0, UPPER_DIES, p_tilde))
+                    return COMPLETE_OUTAGE
+                # failing mass this stage: the slice of the a-mode crossing
+                # capacity plus the entire remaining b-mode
+                p_tilde_next = (
+                    pa * (exp(-(1.0 - a - D) / d_m) - exp(-(1.0 - a) / d_m))
+                    + pb * (1.0 - exp(-(1.0 - b) / d_m))
+                )
+                num = (
+                    pa * exp(-(1.0 - a_next) / d_m)
+                    * (1.0 + d_m - (1.0 + D + d_m) * exp(-D / d_m))
+                    + pb * (b + D + d_m - (1.0 + D + d_m) * exp(-(1.0 - b) / d_m))
+                )
+                mu_next = num / p_tilde_next if p_tilde_next > 0 else 1.0 + d_m
+                D_next = p / (1.0 - p) * mu_next
+                p_next = 1.0 - (
+                    pa * (1.0 - exp(-(1.0 - a_next) / d_m))
+                    / (1.0 - (pa * exp(-(1.0 - a) / d_m) + pb))
+                )
+            elif branch_next is not None:
+                p_tilde_next = nan
+                if D <= 0:
+                    mu_next = 1.0
+                else:
+                    denom = expm1(D / d_m)
+                    if denom == 0.0:
+                        mu_next = 1.0
+                    elif denom == inf:  # expm1 is never -inf
+                        mu_next = 1.0 + d_m
+                    else:
+                        mu_next = 1.0 + d_m - D / denom
+                D_next = p / (1.0 - p) * mu_next
+                q = exp(-(1.0 - a_next) / d_m)
+                if branch_next is BOTH_ALIVE:
+                    # b + D rounds to at most 1 when D < 1 - b: no clamp
+                    q = pa * q + pb * exp(-(1.0 - b_next) / d_m)
+                p_next = q / (1.0 - q) * expm1(D_next / d_m)
+        except (OverflowError, ZeroDivisionError):
+            branch_next = None
+        n += 1
+        if branch_next is None:
+            if rows is not None:
+                rows.append((n, a, p, D, mu, b, branch, p_tilde))  # renumbered
+            return COMPLETE_OUTAGE
+        a, p, D, mu, b, branch, p_tilde = (
+            a_next, p_next, D_next, mu_next, b_next, branch_next, p_tilde_next)
+        if rows is not None:
+            rows.append((n, a, p, D, mu, b, branch, p_tilde))
+        if not 0.0 <= p < 1.0 or a >= 1.0:
+            return COMPLETE_OUTAGE
+    return UNDETERMINED
 
 
 def bimodal_rows(a0: float, b0: float, pa: float, d_m: float, max_iter: int = 10_000,
                  tol: float = 1e-12):
     """The verdict and the stage rows of ``run_bimodal``, with no trace."""
-    params = (d_m, pa, 1.0 - pa)
-    return iterate(_init(a0, b0, pa, d_m), _step, params, max_iter, tol)
+    rows: list = []
+    return bimodal_verdict(a0, b0, pa, d_m, max_iter, tol, rows), rows
 
 
 def run_bimodal(

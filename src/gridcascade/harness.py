@@ -15,8 +15,9 @@ a default; ``validate`` applies it before any work runs.
 
 All numbers are serialized with 17 significant digits, so re-running a
 command with the same config and seed reproduces every table byte for
-byte. The manifest (manifest.json) echoes the config and lists outputs;
-only its timestamp varies between identical runs.
+byte. The manifest (manifest.json) echoes the config, lists outputs and
+records the environment (worker count, Python and numpy versions); only
+its timestamp varies between identical runs on one machine.
 
 Exit codes: 0 success, 1 config or command-line error, 2 runtime error.
 """
@@ -28,10 +29,12 @@ import csv
 import dataclasses
 import json
 import math
-import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .bimodal import run_bimodal
@@ -206,12 +209,17 @@ class OutputWriter:
         self.files.append(path.name)
         return path
 
-    def write_manifest(self, command: str, config: dict, summary: dict) -> Path:
+    def write_manifest(self, command: str, config: dict, summary: dict, workers: int) -> Path:
         path = self.out_dir / "manifest.json"
         manifest = {
             "command": command,
             "version": __version__,
             "generated_at": datetime.now(timezone.utc).isoformat(),
+            "environment": {
+                "workers": workers,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
             "config": config,
             "outputs": sorted(self.files),
             "summary": summary,
@@ -400,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "simulate":
             p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker processes for Monte Carlo trials")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes for Monte Carlo trials (default: 1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
@@ -420,8 +428,10 @@ def run_command(args: argparse.Namespace) -> dict:
 
     values = validate(args.command, cfg)
     writer = OutputWriter(Path(args.out), args.format)
-    summary = COMMANDS[args.command][0](values, writer, args.threads)
-    writer.write_manifest(args.command, cfg, summary)
+    # only simulate runs trials in worker processes; the rest run serially
+    workers = args.threads if args.command == "simulate" else 1
+    summary = COMMANDS[args.command][0](values, writer, workers)
+    writer.write_manifest(args.command, cfg, summary, workers)
     return summary
 
 

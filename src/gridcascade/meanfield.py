@@ -12,10 +12,12 @@ stage, so the whole system is captured by four scalars per stage:
 The cascade dies out when p_n -> 0 (floor stays below capacity) and ends
 in a complete outage when the floor is pushed to capacity 1.
 
-``recursion_rows`` iterates these scalars as plain stage rows
-``(n, a_n, p_n, D_n, mu_prev)``, mu_prev being the mu that produced D_n.
-``run_recursion`` returns the same rows as a trace: one ``MeanFieldState``
-per row, the row's fields followed by the verdict.
+``recursion_verdict`` iterates these scalars in one loop, keeping them in
+locals, and returns the verdict. Given a list, it also appends each stage
+as a plain row ``(n, a_n, p_n, D_n, mu_prev)``, mu_prev being the mu that
+produced D_n; ``recursion_rows`` passes one. ``run_recursion`` returns the
+same rows as a trace: one ``MeanFieldState`` per row, the row's fields
+followed by the verdict.
 """
 
 from __future__ import annotations
@@ -64,25 +66,12 @@ def mean_failed_load(D: float, d_m: float) -> float:
     return 1.0 + d_m - D / denom
 
 
-def iterate(first, step, params, max_iter: int, tol: float):
-    """The verdict and every stage row, from the stage-1 ``(verdict, row)``
-    pair ``first`` and ``step(row, params)``. A row is a tuple of one
-    stage's scalars, ``(n, a_n, p_n, D_n, mu_prev)`` here, extended by the
-    two-mode recursion; no state object is built per stage."""
+def check_budget(max_iter: int, tol: float) -> None:
+    """Reject a stage budget or survival tolerance no loop can run with."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    verdict, row = first
-    rows = [row]
-    for _ in range(max_iter):
-        if verdict is not RUNNING:
-            return verdict, rows
-        if row[2] < tol:
-            return SURVIVES, rows
-        verdict, row = step(row, params)
-        rows.append(row)
-    return (UNDETERMINED if verdict is RUNNING else verdict), rows
 
 
 def trace(cls, verdict: Verdict, rows: list) -> list:
@@ -118,25 +107,58 @@ def _init(a0: float, d_m: float):
     return verdict, (1, a0, p1, D1, 1.0 + d_m)
 
 
-def _step(row: tuple, d_m: float):
-    n, a, p, D, _ = row
-    if D > (1.0 - a) and a < 1.0:
-        return COMPLETE_OUTAGE, row
-    a_next = a + D
-    mu = mean_failed_load(D, d_m)
-    D_next = p / (1.0 - p) * mu
-    try:
-        q = failure_probability(a_next, d_m)
-        p_next = next_failure_probability(q, D_next, d_m)
-    except OverflowError:
-        return COMPLETE_OUTAGE, (n + 1, a_next, 1.0, D_next, mu)
-    verdict = COMPLETE_OUTAGE if p_next >= 1.0 or a_next >= 1.0 else RUNNING
-    return verdict, (n + 1, a_next, p_next, D_next, mu)
+def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float = 1e-12,
+                      rows: list | None = None) -> Verdict:
+    """The verdict of ``run_recursion``; each stage row goes to ``rows``
+    when a list is given. The stage formulas are written inline (the loop
+    runs for every probe of the threshold search): ``mean_failed_load``,
+    then ``failure_probability`` and ``next_failure_probability``."""
+    verdict, row = _init(a0, d_m)
+    check_budget(max_iter, tol)
+    if rows is not None:
+        rows.append(row)
+    if verdict is not RUNNING:
+        return verdict
+    n, a, p, D, mu = row
+    exp, expm1, inf = math.exp, math.expm1, math.inf
+    for _ in range(max_iter):
+        if p < tol:
+            return SURVIVES
+        if D > (1.0 - a) and a < 1.0:
+            if rows is not None:
+                rows.append((n, a, p, D, mu))  # the last row again
+            return COMPLETE_OUTAGE
+        a += D
+        if D <= 0:
+            mu = 1.0
+        else:
+            denom = expm1(D / d_m)
+            if denom == 0.0:
+                mu = 1.0
+            elif denom == inf:  # expm1 is never -inf
+                mu = 1.0 + d_m
+            else:
+                mu = 1.0 + d_m - D / denom
+        D = p / (1.0 - p) * mu
+        n += 1
+        try:
+            q = exp(-(1.0 - a) / d_m)
+            p = q / (1.0 - q) * expm1(D / d_m)
+        except OverflowError:
+            if rows is not None:
+                rows.append((n, a, 1.0, D, mu))
+            return COMPLETE_OUTAGE
+        if rows is not None:
+            rows.append((n, a, p, D, mu))
+        if p >= 1.0 or a >= 1.0:
+            return COMPLETE_OUTAGE
+    return UNDETERMINED
 
 
 def recursion_rows(a0: float, d_m: float, max_iter: int = 10_000, tol: float = 1e-12):
     """The verdict and the stage rows of ``run_recursion``, with no trace."""
-    return iterate(_init(a0, d_m), _step, d_m, max_iter, tol)
+    rows: list = []
+    return recursion_verdict(a0, d_m, max_iter, tol, rows), rows
 
 
 def run_recursion(

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 # run_bimodal and run_recursion: unused, but perfbench/tracing.py wraps them here
-from .bimodal import bimodal_rows, run_bimodal  # noqa: F401
+from .bimodal import bimodal_verdict, run_bimodal  # noqa: F401
 from .cascade import BimodalLoads, DeltaLoads
-from .meanfield import Verdict, recursion_rows, run_recursion  # noqa: F401
+from .meanfield import Verdict, recursion_verdict, run_recursion  # noqa: F401
 
 MeanFieldModel = DeltaLoads | BimodalLoads
 
@@ -38,13 +38,11 @@ class ThresholdResult:
 def model_verdict(
     model: MeanFieldModel, d_m: float, max_iter: int = 10_000, tol: float = 1e-12
 ) -> Verdict:
-    """Mean-field verdict for one disturbance level, from the scalar rows
-    of the recursion (no per-stage trace is built)."""
+    """Mean-field verdict for one disturbance level, from the recursion's
+    scalar loop alone (no stage row is kept)."""
     if isinstance(model, DeltaLoads):
-        verdict, _ = recursion_rows(model.a0, d_m, max_iter, tol)
-    else:
-        verdict, _ = bimodal_rows(model.a0, model.b0, model.pa, d_m, max_iter, tol)
-    return verdict
+        return recursion_verdict(model.a0, d_m, max_iter, tol)
+    return bimodal_verdict(model.a0, model.b0, model.pa, d_m, max_iter, tol)
 
 
 def _fails(v: Verdict) -> bool:

@@ -2,9 +2,11 @@ import csv
 import hashlib
 import json
 import math
+import platform
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -410,6 +412,33 @@ def test_command_line_errors_exit_1(tmp_path, argv):
     argv = [a.replace("{cfg}", path) for a in argv]
     assert main([*argv, "--out", str(tmp_path / "out")] if argv else argv) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", list(harness.COMMANDS))
+def test_threads_default_to_one(command):
+    # a pool costs more than it saves on small runs: serial unless asked
+    args = harness.build_parser().parse_args([command, "--config", "cfg.json"])
+    assert args.threads == 1
+
+
+@pytest.mark.parametrize("command,cfg,argv,workers", [
+    ("simulate", dict(SIM_CFG, trials=2), [], 1),
+    ("simulate", dict(SIM_CFG, trials=2), ["--threads", "2"], 2),
+    ("sweep-dcrit", {"a0_grid": [0.8], "tol_d": 1e-2}, [], 1),
+    ("sweep-dcrit", {"a0_grid": [0.8], "tol_d": 1e-2}, ["--threads", "2"], 1),  # serial
+])
+def test_manifest_records_the_environment(tmp_path, command, cfg, argv, workers):
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out), *argv]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["environment"] == {
+        "workers": workers,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    for table in manifest["outputs"]:
+        assert not {"workers", "python", "numpy"} & set(read_csv(out / table)[0])
 
 
 def test_help_exits_0():
