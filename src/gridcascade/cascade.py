@@ -9,20 +9,27 @@ receive load again. The process stops at the first stage with no failures.
 Simultaneously failing nodes do not transfer load to each other. A failing
 node with no alive non-failing neighbor simply drops its load.
 
-The graph is never copied or written. On a complete graph every failing node
-neighbors every receiver, so each stage is one shared increment instead of
-a matrix-vector product.
+The graph is never copied or written. Dead nodes carry load 0, so the nodes
+at or above capacity are exactly the failing ones. On a complete graph every
+failing node neighbors every receiver, so each stage is one shared increment
+instead of a matrix-vector product.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .graph import GraphTopology, generate_er_graph
+
+# the ufunc reductions behind ndarray.sum/.all, without the method wrappers
+_sum = np.add.reduce
+_all = np.logical_and.reduce
 
 
 # --- initial load distributions -------------------------------------------
@@ -85,20 +92,26 @@ def apply_disturbance(loads: np.ndarray, d_m: float, rng: np.random.Generator) -
     """Add independent Exponential(mean d_m) shocks to every node."""
     if not (math.isfinite(d_m) and d_m > 0):
         raise ValueError(f"disturbance mean must be finite and > 0, got {d_m}")
-    if not np.isfinite(loads).all():
-        raise ValueError("loads must be finite")
+    _total(loads)  # raises unless the loads and their total are finite
     return loads + rng.exponential(d_m, size=loads.shape)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _total(loads: np.ndarray) -> float:
+    """The loads' sum, checked finite: one reduction that every NaN, inf or overflow spoils."""
+    total = float(_sum(loads))
+    if not math.isfinite(total):
+        raise ValueError("loads must be finite" if not np.isfinite(loads).all()
+                         else f"total load must be finite, got {total}")
+    return total
 
 
 # --- cascade state and stepping -------------------------------------------
 
 @dataclass
 class CascadeState:
-    """Mutable snapshot of a running cascade on a fixed graph.
-
-    The graph is shared, never copied or written: dead nodes are masked out
-    by ``alive`` rather than losing their edges. Dead nodes carry load 0.
-    """
+    """Mutable snapshot of a running cascade on a fixed, shared graph: dead
+    nodes are masked out by ``alive``, not by losing edges, and carry load 0."""
 
     graph: GraphTopology
     loads: np.ndarray
@@ -111,14 +124,19 @@ class CascadeState:
 
     @classmethod
     def from_graph(cls, g: GraphTopology, loads: np.ndarray) -> "CascadeState":
-        loads = np.asarray(loads, dtype=np.float64)
-        if loads.shape != (g.n,):
-            raise ValueError(f"expected {g.n} loads, got shape {loads.shape}")
-        if not np.isfinite(loads).all():
-            raise ValueError("loads must be finite")
-        if np.any(loads < 0):
-            raise ValueError("loads must be nonnegative")
-        return cls(graph=g, loads=loads.copy(), alive=np.ones(g.n, dtype=bool), stage=0)
+        loads, alive, _ = _start(g, loads)
+        return cls(graph=g, loads=loads, alive=alive, stage=0)
+
+
+def _start(g: GraphTopology, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """A cascade's start: checked float64 copy of ``loads``, all alive, total load."""
+    loads = np.array(loads, dtype=np.float64)
+    if loads.shape != (g.n,):
+        raise ValueError(f"expected {g.n} loads, got shape {loads.shape}")
+    total = _total(loads)
+    if np.minimum.reduce(loads, initial=0.0) < 0:
+        raise ValueError("loads must be nonnegative")
+    return loads, np.ones(g.n, dtype=bool), total
 
 
 @dataclass(frozen=True)
@@ -133,82 +151,61 @@ class CascadeOutcome:
 
 
 def step_cascade(state: CascadeState) -> tuple[CascadeState, int]:
-    """Run one synchronous failure-and-redistribution stage.
-
-    Returns the successor state and the number of nodes that failed. A
-    stage with zero failures leaves the state unchanged (the cascade has
-    terminated).
-    """
-    new = CascadeState(
-        graph=state.graph,
-        loads=state.loads.copy(),
-        alive=state.alive.copy(),
-        stage=state.stage,
-    )
-    failed, _ = _step_inplace(new)
-    return new, failed
+    """One stage on a copy of ``state``: (successor, failures). Zero failures
+    mean the cascade has ended, and the successor equals ``state``."""
+    loads, alive = state.loads.copy(), state.alive.copy()
+    failed, _ = _stage(state.graph, loads, alive)
+    return CascadeState(state.graph, loads, alive, state.stage + (failed > 0)), failed
 
 
-def _step_inplace(state: CascadeState) -> tuple[int, float]:
-    """One stage, mutating the state. Returns (failures, dropped load).
-
-    Load only leaves the system when a failing node has no alive
-    non-failing neighbor; edges inside the failing set never carry load.
-    """
-    loads, alive = state.loads, state.alive
-    (idx,) = (alive & (loads >= 1.0)).nonzero()
+def _stage(graph: GraphTopology, loads: np.ndarray, alive: np.ndarray) -> tuple[int, float]:
+    """One stage, writing ``loads`` and ``alive``: (failures, dropped load)."""
+    (idx,) = (loads >= 1.0).nonzero()
     if idx.size == 0:
         return 0, 0.0
     alive[idx] = False
     (recv,) = alive.nonzero()
     out = loads[idx]
     loads[idx] = 0.0
+    if graph.complete:
+        if not recv.size:
+            return idx.size, float(_sum(out))
+        loads[recv] += _sum(out / recv.size)
+        return idx.size, 0.0
+    # recv and idx hold live nodes only, so the block holds every edge that
+    # carries load this stage and no edge to a dead node
+    block = graph.adjacency[recv[:, None], idx]
+    deg = _sum(block, axis=0, dtype=np.float64)
     dropped = 0.0
-    if state.graph.complete:
-        if recv.size:
-            loads[recv] += (out / recv.size).sum()
-        else:
-            dropped = float(out.sum())
-    else:
-        # recv and idx hold live nodes only, so the block holds every edge
-        # that carries load this stage and no edge to a dead node
-        block = state.graph.adjacency[recv[:, None], idx]
-        deg = block.sum(axis=0, dtype=np.float64)
-        if not deg.all():
-            # a column with no recipient is all zero in the block, so a
-            # degree of 1 makes its share add exactly 0 to every receiver
-            orphan = deg == 0.0
-            dropped = float(out[orphan].sum())
-            deg[orphan] = 1.0
-        loads[recv] += block @ (out / deg)
-    state.stage += 1
+    if not _all(deg):
+        # a column with no recipient is all zero in the block, so a degree
+        # of 1 makes its share add exactly 0 to every receiver
+        orphan = deg == 0.0
+        dropped = float(_sum(out[orphan]))
+        deg[orphan] = 1.0
+    loads[recv] += block @ (out / deg)
     return idx.size, dropped
 
 
 def run_cascade(g: GraphTopology, loads: np.ndarray) -> CascadeOutcome:
-    """Iterate stages until none fail; always terminates within n stages."""
-    state = CascadeState.from_graph(g, loads)
-    total_initial = float(state.loads.sum())
+    """Iterate stages on a copy of ``loads`` until none fail; always
+    terminates within n stages."""
+    loads, alive, total_initial = _start(g, loads)
     failures: list[int] = []
     dropped_total = 0.0
     while True:
-        k, dropped = _step_inplace(state)
+        k, dropped = _stage(g, loads, alive)
         if k == 0:
             break
         failures.append(k)
         dropped_total += dropped
-    # account for the final load as initial minus dropped: exact where the
-    # float-summed loads would pick up rounding noise, so an all-or-nothing
-    # cascade reports f of exactly 1.0 or 0.0
-    if not state.alive.any():
-        total_final = 0.0
-    elif dropped_total == 0.0:
-        total_final = total_initial
-    else:
-        total_final = total_initial - dropped_total
+    # account for the final load as initial minus dropped (x - 0.0 is x):
+    # exact where the float-summed loads would pick up rounding noise, so an
+    # all-or-nothing cascade reports f of exactly 1.0 or 0.0
+    total_final = 0.0 if sum(failures) == g.n else total_initial - dropped_total
     f = total_final / total_initial if total_initial > 0 else 1.0
     return CascadeOutcome(
-        termination_stage=state.stage,
+        termination_stage=len(failures),
         survivor_fraction=f,
         failures_per_stage=tuple(failures),
         total_initial_load=total_initial,
@@ -236,11 +233,7 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 
 
 def run_trial(
-    n: int,
-    p: float,
-    spec: LoadDistributionSpec,
-    d_m: float,
-    rng: np.random.Generator,
+    n: int, p: float, spec: LoadDistributionSpec, d_m: float, rng: np.random.Generator
 ) -> CascadeOutcome:
     """One full realization: fresh graph, fresh loads, one disturbance."""
     g = generate_er_graph(n, p, rng)
@@ -248,19 +241,25 @@ def run_trial(
     return run_cascade(g, loads)
 
 
+@lru_cache(maxsize=1)
+def _trial_streams(master_seed: int, thread: int) -> tuple[np.random.Generator, dict]:
+    """A generator to reuse, per thread, and the start state of each trial
+    index: grid points share indices 0..trials-1, so each is seeded once."""
+    return np.random.Generator(np.random.PCG64(0)), {}
+
+
 def _trial_task(args) -> CascadeOutcome:
     n, p, spec, d_m, master_seed, k = args
-    return run_trial(n, p, spec, d_m, trial_rng(master_seed, k))
+    rng, states = _trial_streams(master_seed, threading.get_ident())
+    if k not in states:
+        states[k] = trial_rng(master_seed, k).bit_generator.state
+    rng.bit_generator.state = states[k]  # as trial_rng(master_seed, k) starts
+    return run_trial(n, p, spec, d_m, rng)
 
 
 def monte_carlo(
-    n: int,
-    p: float,
-    spec: LoadDistributionSpec,
-    d_m: float,
-    trials: int,
-    master_seed: int,
-    workers: int = 1,
+    n: int, p: float, spec: LoadDistributionSpec, d_m: float, trials: int,
+    master_seed: int, workers: int = 1,
 ) -> AggregateStats:
     """Run independent trials; results do not depend on ``workers``."""
     if trials < 1:

@@ -77,9 +77,10 @@ def _skip_doubles(bit_generator: np.random.PCG64, count: int) -> None:
     bit_generator.state = advanced
 
 
+@lru_cache(maxsize=4)
 def _complete_adjacency(n: int) -> np.ndarray:
-    """Read-only K_n adjacency over 2n - 1 bytes: row i is
-    ``ramp[n-1-i : 2n-1-i]``, so its only False falls on column i."""
+    """Read-only K_n adjacency over 2n - 1 bytes, shared by graphs: row i
+    is ``ramp[n-1-i : 2n-1-i]``, so its only False falls on column i."""
     ramp = np.ones(2 * n - 1, dtype=bool)
     ramp[n - 1] = False
     return as_strided(ramp[n - 1:], shape=(n, n), strides=(-1, 1), writeable=False)

@@ -144,7 +144,7 @@ def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float 
         try:
             q = exp(-(1.0 - a) / d_m)
             p = q / (1.0 - q) * expm1(D / d_m)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # q rounds to 1.0 as a does
             if rows is not None:
                 rows.append((n, a, 1.0, D, mu))
             return COMPLETE_OUTAGE

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from gridcascade import (
     trial_rng,
     validate_redistribution_limit,
 )
+from gridcascade import cascade
 from gridcascade.graph import GraphTopology
 
 
@@ -177,6 +180,35 @@ def test_run_cascade_rejects_negative_loads():
         run_cascade(k3(), np.array([-0.1, 0.5, 0.6]))
 
 
+def test_overflowing_total_load_is_rejected():
+    # every load is finite, but their total overflows to inf, which made the
+    # survivor fraction and final load NaN
+    g = GraphTopology(3, np.zeros((3, 3), dtype=bool), 0.0)
+    loads = np.array([1e308, 1e308, 0.5])
+    with pytest.raises(ValueError, match="total load"):
+        run_cascade(g, loads)
+    with pytest.raises(ValueError, match="total load"):
+        CascadeState.from_graph(g, loads)
+
+
+def test_run_cascade_leaves_the_callers_loads_unchanged():
+    g = generate_er_graph(30, 0.3, np.random.default_rng(2))
+    loads = np.random.default_rng(3).random(30) * 1.5
+    before = loads.copy()
+    assert run_cascade(g, loads).termination_stage > 0
+    assert (loads == before).all()
+
+
+def test_step_cascade_leaves_its_input_state_unchanged():
+    g = generate_er_graph(30, 0.3, np.random.default_rng(2))
+    state = CascadeState.from_graph(g, np.random.default_rng(3).random(30) * 1.5)
+    loads, alive = state.loads.copy(), state.alive.copy()
+    after, failed = step_cascade(state)
+    assert failed > 0 and after.stage == 1
+    assert (state.loads == loads).all() and (state.alive == alive).all()
+    assert state.stage == 0
+
+
 def test_isolated_failing_node_drops_load():
     g = generate_er_graph(2, 0.0, np.random.default_rng(0))
     out = run_cascade(g, np.array([1.5, 0.5]))
@@ -236,6 +268,64 @@ def test_monte_carlo_is_deterministic_across_worker_counts():
     parallel = monte_carlo(30, 0.5, UniformLoads(), 0.1, 40, master_seed=9, workers=3)
     assert serial.per_trial_fractions == parallel.per_trial_fractions
     assert serial.prob_no_outage == parallel.prob_no_outage
+
+
+# (n, p, master seed) points run back to back: a seed switch between them
+MC_POINTS = [(20, 0.3, 5), (12, 1.0, 5), (20, 0.3, 6)]
+
+
+def _assert_each_trial_is_its_substream(stats, n, p, seed):
+    assert len(stats.outcomes) == 25
+    for k, out in enumerate(stats.outcomes):
+        assert out == run_trial(n, p, UniformLoads(), 0.1, trial_rng(seed, k))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_trial_k_is_run_trial_on_trial_rng_k(workers):
+    for n, p, seed in MC_POINTS:
+        stats = monte_carlo(n, p, UniformLoads(), 0.1, 25, seed, workers=workers)
+        _assert_each_trial_is_its_substream(stats, n, p, seed)
+
+
+def test_monte_carlo_after_a_trial_raised_partway(monkeypatch):
+    calls = []
+
+    def fail_on_third(g, loads):
+        calls.append(None)  # the graph and the loads are drawn by now
+        if len(calls) == 3:
+            raise RuntimeError("stop")
+        return run_cascade(g, loads)
+
+    monkeypatch.setattr(cascade, "run_cascade", fail_on_third)
+    with pytest.raises(RuntimeError, match="stop"):
+        monte_carlo(20, 0.3, UniformLoads(), 0.1, 25, 5)
+    monkeypatch.undo()
+    for n, p, seed in MC_POINTS:
+        stats = monte_carlo(n, p, UniformLoads(), 0.1, 25, seed)
+        _assert_each_trial_is_its_substream(stats, n, p, seed)
+
+
+def test_concurrent_threads_do_not_share_a_trial_generator():
+    # each thread reuses its own generator; a shared one would interleave
+    # draws between threads and change their outcomes
+    expected = {pt: monte_carlo(*pt[:2], UniformLoads(), 0.1, 25, pt[2]) for pt in MC_POINTS}
+    results, interval = {}, sys.getswitchinterval()
+
+    def run(i, pt):
+        results[i, pt] = monte_carlo(*pt[:2], UniformLoads(), 0.1, 25, pt[2])
+
+    threads = [threading.Thread(target=run, args=(i, pt)) for i in range(2) for pt in MC_POINTS]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert {key: stats.outcomes for key, stats in results.items()} == {
+        (i, pt): expected[pt].outcomes for i in range(2) for pt in MC_POINTS}
 
 
 def test_monte_carlo_rejects_zero_trials():

@@ -194,6 +194,14 @@ def test_meanfield_single_point(tmp_path):
     assert len({r[0] for r in rows[1:]}) == 1
 
 
+def test_meanfield_floor_rounding_to_capacity_is_an_outage(tmp_path):
+    # the shifted floor rounds to 1.0, so q = 1.0 and q / (1 - q) divides by 0
+    cfg = write_config(tmp_path, "mf.json", {"a0": 0.0125, "d_m": 0.9157115631207786})
+    assert main(["meanfield", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / "meanfield_trace.csv")
+    assert rows[-1][1:4] == ["2", "1", "1"] and rows[-1][-1] == "complete_outage"
+
+
 def test_bimodal_meanfield_trace(tmp_path):
     cfg = write_config(tmp_path, "bm.json", {
         "a0": 0.5, "b0": 0.9, "pa": 0.25, "d_m": [0.015, 0.03],

@@ -184,6 +184,8 @@ OUTAGE, SURVIVES, UNDETERMINED = (
                  lambda r: len(r) == 4 and r[-1][2] >= 1.0, id="p-reaches-1"),
     pytest.param((0.095, 0.820800320267225), 10_000, OUTAGE,
                  lambda r: len(r) == 2 and r[1] == r[0], id="D>1-a"),
+    pytest.param((0.0125, 0.9157115631207786), 10_000, OUTAGE,
+                 lambda r: len(r) == 2 and r[1][1:3] == (1.0, 1.0), id="zero-division"),
     pytest.param((0.8, 0.0492), 50, UNDETERMINED, lambda r: len(r) == 51, id="undetermined"),
     pytest.param((0.8, 0.03), 10_000, SURVIVES, lambda r: r[-1][2] < 1e-12, id="survives"),
     pytest.param((0.5, 0.6, 0.5, 1e300), 10_000, OUTAGE,
