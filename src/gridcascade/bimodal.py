@@ -31,7 +31,9 @@ from .meanfield import (
     UNDETERMINED,
     Verdict,
     check_budget,
+    failure_probability,
     first_stage,
+    mean_failed_load,
     trace,
 )
 
@@ -61,11 +63,6 @@ class BimodalState:
     verdict: Verdict = Verdict.RUNNING
 
 
-def _mode_failure_probability(a: float, b: float, pa: float, pb: float, d_m: float) -> float:
-    # failure_probability of each floor, weighted
-    return pa * math.exp(-(1.0 - a) / d_m) + pb * math.exp(-(1.0 - min(b, 1.0)) / d_m)
-
-
 def _init(a0: float, b0: float, pa: float, d_m: float):
     if not 0.0 < a0 < 1.0 or not 0.0 < b0 < 1.0:
         raise ValueError(f"mode loads must be in (0, 1), got a0={a0}, b0={b0}")
@@ -75,18 +72,20 @@ def _init(a0: float, b0: float, pa: float, d_m: float):
         raise ValueError(f"pa must be in [0, 1], got {pa}")
     if not 0.0 < d_m < math.inf:
         raise ValueError(f"disturbance mean must be finite and > 0, got {d_m}")
-    p0 = _mode_failure_probability(a0, b0, pa, 1.0 - pa, d_m)
-    verdict, p1, D1 = first_stage(p0, d_m)
-    return verdict, (1, a0, p1, D1, 1.0 + d_m, b0, INIT, math.nan)
+    p0 = pa * failure_probability(a0, d_m) + (1.0 - pa) * failure_probability(b0, d_m)
+    verdict, p1, D1, e1 = first_stage(p0, d_m)
+    return verdict, (1, a0, p1, D1, 1.0 + d_m, b0, INIT, math.nan), e1
 
 
 def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int = 10_000,
                     tol: float = 1e-12, rows: list | None = None) -> Verdict:
     """The verdict of ``run_bimodal``; each stage row goes to ``rows`` when
     a list is given. BOTH_ALIVE and LOWER_ONLY share the unimodal stage
-    formulas, written inline as in ``recursion_verdict``, and differ only
-    in the failing mass q of the shifted floors."""
-    verdict, row = _init(a0, b0, pa, d_m)
+    formulas and its carried e = expm1(D/d_m), written inline as in
+    ``recursion_verdict``, and differ only in the failing mass q of the
+    shifted floors. UPPER_DIES computes no e for its D, so the stage after
+    it takes mu from ``mean_failed_load``."""
+    verdict, row, e = _init(a0, b0, pa, d_m)
     check_budget(max_iter, tol)
     if rows is not None:
         rows.append(row)
@@ -94,7 +93,7 @@ def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int =
         return verdict
     pb = 1.0 - pa
     n, a, p, D, mu, b, branch, p_tilde = row
-    exp, expm1, inf, nan = math.exp, math.expm1, math.inf, math.nan
+    exp, expm1, nan = math.exp, math.expm1, math.nan
     for _ in range(max_iter):
         if p < tol:
             return SURVIVES
@@ -103,7 +102,7 @@ def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int =
                 branch_next, b_next = BOTH_ALIVE, b + D
             elif (1.0 - a) > D >= (1.0 - b) and b < 1.0:
                 branch_next, b_next = UPPER_DIES, 1.0
-            elif D < (1.0 - a) and a < 1.0 and b == 1.0:
+            elif D < (1.0 - a) and b == 1.0:  # a < 1 here, as in the unimodal loop
                 branch_next, b_next = LOWER_ONLY, b
             else:
                 branch_next = None  # remaining mass pushed past capacity
@@ -114,41 +113,28 @@ def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int =
                     if rows is not None:
                         rows.append((n + 1, a, p, D, mu, 1.0, UPPER_DIES, p_tilde))
                     return COMPLETE_OUTAGE
+                qa, qa_next, qb = (
+                    exp(-(1.0 - a) / d_m), exp(-(1.0 - a_next) / d_m), exp(-(1.0 - b) / d_m))
                 # failing mass this stage: the slice of the a-mode crossing
                 # capacity plus the entire remaining b-mode
-                p_tilde_next = (
-                    pa * (exp(-(1.0 - a - D) / d_m) - exp(-(1.0 - a) / d_m))
-                    + pb * (1.0 - exp(-(1.0 - b) / d_m))
-                )
+                p_tilde_next = pa * (exp(-(1.0 - a - D) / d_m) - qa) + pb * (1.0 - qb)
                 num = (
-                    pa * exp(-(1.0 - a_next) / d_m)
-                    * (1.0 + d_m - (1.0 + D + d_m) * exp(-D / d_m))
-                    + pb * (b + D + d_m - (1.0 + D + d_m) * exp(-(1.0 - b) / d_m))
+                    pa * qa_next * (1.0 + d_m - (1.0 + D + d_m) * exp(-D / d_m))
+                    + pb * (b + D + d_m - (1.0 + D + d_m) * qb)
                 )
                 mu_next = num / p_tilde_next if p_tilde_next > 0 else 1.0 + d_m
                 D_next = p / (1.0 - p) * mu_next
-                p_next = 1.0 - (
-                    pa * (1.0 - exp(-(1.0 - a_next) / d_m))
-                    / (1.0 - (pa * exp(-(1.0 - a) / d_m) + pb))
-                )
+                p_next = 1.0 - pa * (1.0 - qa_next) / (1.0 - (pa * qa + pb))
             elif branch_next is not None:
                 p_tilde_next = nan
-                if D <= 0:
-                    mu_next = 1.0
-                else:
-                    denom = expm1(D / d_m)
-                    if denom == 0.0:
-                        mu_next = 1.0
-                    elif denom == inf:  # expm1 is never -inf
-                        mu_next = 1.0 + d_m
-                    else:
-                        mu_next = 1.0 + d_m - D / denom
+                mu_next = mean_failed_load(D, d_m) if branch is UPPER_DIES else 1.0 + d_m - D / e
                 D_next = p / (1.0 - p) * mu_next
                 q = exp(-(1.0 - a_next) / d_m)
                 if branch_next is BOTH_ALIVE:
                     # b + D rounds to at most 1 when D < 1 - b: no clamp
                     q = pa * q + pb * exp(-(1.0 - b_next) / d_m)
-                p_next = q / (1.0 - q) * expm1(D_next / d_m)
+                e = expm1(D_next / d_m)
+                p_next = q / (1.0 - q) * e
         except (OverflowError, ZeroDivisionError):
             branch_next = None
         n += 1

@@ -302,7 +302,8 @@ def validate_redistribution_limit(
 ) -> RedistributionLimitCheck:
     """Empirically check the large-N limit of the stage-0 redistributed load.
 
-    A draw with zero survivors is reported (empirical = inf), not raised.
+    A draw with zero survivors is reported (empirical = inf), not raised;
+    so is a p0 that rounds to 1 (predicted = inf, the limit as p0 -> 1).
     """
     loads = apply_disturbance(init_loads(n, DeltaLoads(a0), rng), d_m, rng)
     failed = loads >= 1.0
@@ -310,7 +311,7 @@ def validate_redistribution_limit(
     n_survive = n - n_failed
     empirical = float(loads[failed].sum()) / n_survive if n_survive > 0 else math.inf
     p0 = math.exp(-(1.0 - a0) / d_m)
-    predicted = p0 / (1.0 - p0) * (1.0 + d_m)
+    predicted = p0 / (1.0 - p0) * (1.0 + d_m) if p0 < 1.0 else math.inf
     return RedistributionLimitCheck(
         empirical=empirical, predicted=predicted, survivors=n_survive, failed=n_failed
     )

@@ -80,22 +80,20 @@ def trace(cls, verdict: Verdict, rows: list) -> list:
     return [cls(*row) for row in rows[:-1]] + [cls(*rows[-1], verdict)]
 
 
-def next_failure_probability(q: float, D: float, d_m: float) -> float:
-    """q/(1-q) * (e^(D/d_m) - 1) for a floor failing with probability q and
-    a shift D; overflows for blackout-scale D, an outage to the caller."""
-    return q / (1.0 - q) * math.expm1(D / d_m)
-
-
 def first_stage(p0: float, d_m: float):
-    """Verdict, p1 and D1 from the stage-0 failure probability p0."""
+    """Verdict, p1, D1 and e1 = expm1(D1/d_m) from the stage-0 failure
+    probability p0: D1 = p0/(1-p0) * (1+d_m) and p1 = p0/(1-p0) * e1.
+    expm1 overflows for blackout-scale D1, an outage."""
     if p0 >= 1.0:
-        return COMPLETE_OUTAGE, 1.0, 0.0
-    D1 = p0 / (1.0 - p0) * (1.0 + d_m)
+        return COMPLETE_OUTAGE, 1.0, 0.0, math.nan
+    odds = p0 / (1.0 - p0)
+    D1 = odds * (1.0 + d_m)
     try:
-        p1 = next_failure_probability(p0, D1, d_m)
+        e1 = math.expm1(D1 / d_m)
     except OverflowError:
-        return COMPLETE_OUTAGE, 1.0, D1
-    return (COMPLETE_OUTAGE if p1 >= 1.0 else RUNNING), p1, D1
+        return COMPLETE_OUTAGE, 1.0, D1, math.inf
+    p1 = odds * e1
+    return (COMPLETE_OUTAGE if p1 >= 1.0 else RUNNING), p1, D1, e1
 
 
 def _init(a0: float, d_m: float):
@@ -103,47 +101,42 @@ def _init(a0: float, d_m: float):
         raise ValueError(f"a0 must be in (0, 1), got {a0}")
     if not 0.0 < d_m < math.inf:
         raise ValueError(f"disturbance mean must be finite and > 0, got {d_m}")
-    verdict, p1, D1 = first_stage(failure_probability(a0, d_m), d_m)
-    return verdict, (1, a0, p1, D1, 1.0 + d_m)
+    verdict, p1, D1, e1 = first_stage(failure_probability(a0, d_m), d_m)
+    return verdict, (1, a0, p1, D1, 1.0 + d_m), e1
 
 
 def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float = 1e-12,
                       rows: list | None = None) -> Verdict:
     """The verdict of ``run_recursion``; each stage row goes to ``rows``
     when a list is given. The stage formulas are written inline (the loop
-    runs for every probe of the threshold search): ``mean_failed_load``,
-    then ``failure_probability`` and ``next_failure_probability``."""
-    verdict, row = _init(a0, d_m)
+    runs for every probe of the threshold search), one expm1 per stage:
+    e = expm1(D/d_m) gives p = q/(1-q) * e, q the ``failure_probability``
+    of the shifted floor, and the next stage's mu = 1 + d_m - D/e is
+    ``mean_failed_load`` without its guards (p >= tol > 0 makes e > 0, and
+    an infinite e gives D/e = 0)."""
+    verdict, row, e = _init(a0, d_m)
     check_budget(max_iter, tol)
     if rows is not None:
         rows.append(row)
     if verdict is not RUNNING:
         return verdict
     n, a, p, D, mu = row
-    exp, expm1, inf = math.exp, math.expm1, math.inf
+    exp, expm1 = math.exp, math.expm1
     for _ in range(max_iter):
         if p < tol:
             return SURVIVES
-        if D > (1.0 - a) and a < 1.0:
+        if D > (1.0 - a):  # a < 1 here: every stage exits on a >= 1
             if rows is not None:
                 rows.append((n, a, p, D, mu))  # the last row again
             return COMPLETE_OUTAGE
         a += D
-        if D <= 0:
-            mu = 1.0
-        else:
-            denom = expm1(D / d_m)
-            if denom == 0.0:
-                mu = 1.0
-            elif denom == inf:  # expm1 is never -inf
-                mu = 1.0 + d_m
-            else:
-                mu = 1.0 + d_m - D / denom
+        mu = 1.0 + d_m - D / e
         D = p / (1.0 - p) * mu
         n += 1
         try:
             q = exp(-(1.0 - a) / d_m)
-            p = q / (1.0 - q) * expm1(D / d_m)
+            e = expm1(D / d_m)
+            p = q / (1.0 - q) * e
         except (OverflowError, ZeroDivisionError):  # q rounds to 1.0 as a does
             if rows is not None:
                 rows.append((n, a, 1.0, D, mu))

@@ -30,7 +30,7 @@ class ThresholdResult:
     d_low: float   # survives
     d_high: float  # fails (or Undetermined, counted as failure)
     resolution: float
-    method: str    # "scan" or "bisection"
+    method: str    # always "bisection"
     undetermined_in_bracket: bool = False  # some probe was Undetermined
     evaluations: int = 0  # distinct disturbance levels evaluated
 

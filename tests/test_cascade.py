@@ -356,3 +356,11 @@ def test_redistribution_limit_reports_zero_survivors():
             assert check.empirical == math.inf
             return
     pytest.fail("no zero-survivor draw found")
+
+
+def test_redistribution_limit_reports_a_certain_stage_zero_failure():
+    # p0 = exp(-0.5/1e17) rounds to 1.0: the prediction is its p0 -> 1 limit
+    check = validate_redistribution_limit(10, 0.5, 1e17, np.random.default_rng(0))
+    assert check.predicted == math.inf
+    assert (check.survivors, check.failed) == (0, 10)
+    assert check.empirical == math.inf

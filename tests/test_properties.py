@@ -1,6 +1,7 @@
 """Randomized invariant checks for the cascade engine."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -245,6 +246,34 @@ def test_mu_prev_is_the_mean_failed_load_of_the_previous_shift():
                     assert row[4].hex() == mean_failed_load(prev[3], d_m).hex()
                     seen[kind] += 1
     assert all(seen.values()), seen
+
+
+# sha256 of repr((verdict, rows)), or repr((exception type, message)), of
+# every recursion_rows and bimodal_rows call over a grid of extreme inputs:
+# floors next to capacity, disturbance means from 1e-300 to 1e300, a 3-stage
+# budget, a denormal tol, and two-mode splits with pa 0, 0.25 and 1. Recorded
+# from the loops that called mean_failed_load, guards and all, every stage.
+EXTREME_GOLDEN = "346bd9a682b3386872c299e4142af397bd53187d988a09aaeb42d1aad68d443c"
+
+
+def _outcome(rows_of, *args):
+    try:
+        return repr(rows_of(*args))
+    except Exception as exc:
+        return repr((type(exc).__name__, str(exc)))
+
+
+def test_recursions_on_extreme_inputs_match_golden_digest():
+    h = hashlib.sha256()
+    d_grid = (1e-300, 1e-5, 1e-3, 1e-2, *(0.01 * 1.3 ** k for k in range(16)), 10.0, 1e17, 1e300)
+    for a0 in (0.05, 0.3, 0.6, 0.8, 0.95, 1.0 - 1e-12):
+        for d_m in d_grid:
+            for max_iter, tol in ((3, 1e-12), (10_000, 1e-12), (10_000, 1e-320)):
+                h.update(_outcome(recursion_rows, a0, d_m, max_iter, tol).encode())
+                for b0 in (a0, a0 + 0.5 * (1.0 - a0)):
+                    for pa in (0.0, 0.25, 1.0):
+                        h.update(_outcome(bimodal_rows, a0, b0, pa, d_m, max_iter, tol).encode())
+    assert h.hexdigest() == EXTREME_GOLDEN
 
 
 def test_every_exported_name_resolves():

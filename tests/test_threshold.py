@@ -24,6 +24,29 @@ def test_unimodal_threshold_matches_reported_range():
     assert res.d_high - res.d_low <= 1e-4
 
 
+def _closed_form_d_critical(a0):
+    """The exact unimodal threshold. Every alive node carries a0 plus one
+    shared shift C, and the cascade stops at the first C with
+    (1 + d) * exp(-(1 - a0 - C)/d) <= C; some C in [0, 1 - a0) has it
+    exactly when d * (1 + ln(1 + 1/d)) <= 1 - a0. The left side increases
+    in d: bisect it down to adjacent floats."""
+    lo, hi = 0.0, 1.0 - a0
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if mid * (1.0 + math.log1p(1.0 / mid)) < 1.0 - a0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return lo
+
+
+@pytest.mark.parametrize("a0", [round(0.30 + 0.05 * k, 2) for k in range(14)])
+def test_unimodal_threshold_matches_the_closed_form(a0):
+    res = find_d_critical(DeltaLoads(a0))
+    assert abs(res.d_critical - _closed_form_d_critical(a0)) <= res.resolution
+
+
 def test_bimodal_threshold_matches_reported_range():
     res = find_d_critical(BimodalLoads(0.5, 0.9, 0.25))
     assert 0.015 <= res.d_critical <= 0.025
