@@ -18,10 +18,9 @@ instead of a matrix-vector product.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -241,20 +240,25 @@ def run_trial(
     return run_cascade(g, loads)
 
 
-@lru_cache(maxsize=1)
-def _trial_streams(master_seed: int, thread: int) -> tuple[np.random.Generator, dict]:
-    """A generator to reuse, per thread, and the start state of each trial
-    index: grid points share indices 0..trials-1, so each is seeded once."""
-    return np.random.Generator(np.random.PCG64(0)), {}
+@lru_cache(maxsize=1 << 12)
+def _start_state(master_seed: int, k: int) -> dict:
+    """The state ``trial_rng(master_seed, k)`` starts from, shared by every
+    caller and only read. Grid points share trial indices 0..trials-1, so
+    each index is seeded once while the memo holds it."""
+    return trial_rng(master_seed, k).bit_generator.state
 
 
-def _trial_task(args) -> CascadeOutcome:
-    n, p, spec, d_m, master_seed, k = args
-    rng, states = _trial_streams(master_seed, threading.get_ident())
-    if k not in states:
-        states[k] = trial_rng(master_seed, k).bit_generator.state
-    rng.bit_generator.state = states[k]  # as trial_rng(master_seed, k) starts
-    return run_trial(n, p, spec, d_m, rng)
+def _trials(
+    n: int, p: float, spec: LoadDistributionSpec, d_m: float, master_seed: int, ks: range,
+) -> list[CascadeOutcome]:
+    """Trials ``ks`` in order, on one generator of this call's own, reset
+    to each trial's start state: the draws are those of ``trial_rng``."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    outcomes = []
+    for k in ks:
+        rng.bit_generator.state = _start_state(master_seed, k)
+        outcomes.append(run_trial(n, p, spec, d_m, rng))
+    return outcomes
 
 
 def monte_carlo(
@@ -264,12 +268,13 @@ def monte_carlo(
     """Run independent trials; results do not depend on ``workers``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    tasks = [(n, p, spec, d_m, master_seed, k) for k in range(trials)]
+    run, ks = partial(_trials, n, p, spec, d_m, master_seed), range(trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = tuple(pool.map(_trial_task, tasks, chunksize=8))  # in task order
+            chunks = pool.map(run, [ks[i:i + 8] for i in range(0, trials, 8)])  # in order
+            outcomes = tuple(out for chunk in chunks for out in chunk)
     else:
-        outcomes = tuple(map(_trial_task, tasks))
+        outcomes = tuple(run(ks))
     fractions = np.array([o.survivor_fraction for o in outcomes])
     return AggregateStats(
         trials=trials,

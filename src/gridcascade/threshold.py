@@ -60,9 +60,9 @@ def find_d_critical(
 
     Each disturbance level is evaluated at most once per search and its
     verdict recorded; the verdict is a pure function of
-    ``(model, d, max_iter, tol)``, so a re-run could only repeat it. The
-    final bracket endpoints are checked against their recorded verdicts:
-    survives at d_low, fails at d_high. Bisection stops at ``tol_d`` or at
+    ``(model, d, max_iter, tol)``, so a re-run could only repeat it. Only
+    a surviving probe ever becomes d_low and only a failing one d_high, so
+    the bracket needs no final check. Bisection stops at ``tol_d`` or at
     two adjacent floats, whichever comes first. ``undetermined_in_bracket``
     reports whether any probe, scan or bisection, came back Undetermined;
     ``evaluations`` counts the levels evaluated.
@@ -103,10 +103,6 @@ def find_d_critical(
             hi = mid
         else:
             lo = mid
-    if _fails(probes[lo]) or not _fails(probes[hi]):
-        raise NonMonotoneError(
-            f"bracket endpoints failed verification: lo={lo}, hi={hi}"
-        )
     return result(0.5 * (lo + hi), lo, hi)
 
 

@@ -56,6 +56,7 @@ def test_bimodal_loads_mean():
         lambda: DeltaLoads(1.0),
         lambda: BimodalLoads(0.9, 0.5, 0.5),
         lambda: BimodalLoads(0.5, 0.9, 1.5),
+        lambda: init_loads(0, DeltaLoads(0.8), np.random.default_rng(0)),
     ],
 )
 def test_invalid_load_specs_rejected(spec):
@@ -173,6 +174,14 @@ def test_cascade_leaves_the_graph_unchanged(p):
     assert state.adjacency is g.adjacency
     assert (g.adjacency == before).all()
     assert not g.adjacency.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_wrong_number_of_loads_is_rejected(n):
+    with pytest.raises(ValueError, match="expected 3 loads"):
+        run_cascade(k3(), np.full(n, 0.5))
+    with pytest.raises(ValueError, match="expected 3 loads"):
+        CascadeState.from_graph(k3(), np.full(n, 0.5))
 
 
 def test_run_cascade_rejects_negative_loads():
@@ -326,6 +335,25 @@ def test_concurrent_threads_do_not_share_a_trial_generator():
     assert not any(t.is_alive() for t in threads)
     assert {key: stats.outcomes for key, stats in results.items()} == {
         (i, pt): expected[pt].outcomes for i in range(2) for pt in MC_POINTS}
+
+
+def test_trials_past_the_memo_bound_keep_their_substreams():
+    # the memo of start states evicts its oldest indices past its bound, so
+    # an index seeded again must still start where trial_rng starts
+    bound = cascade._start_state.cache_info().maxsize
+    cascade._start_state.cache_clear()
+    stats = monte_carlo(2, 1.0, UniformLoads(), 0.5, bound + 40, 8)
+    assert cascade._start_state.cache_info().currsize == bound
+    for k, out in enumerate(stats.outcomes):
+        assert out == run_trial(2, 1.0, UniformLoads(), 0.5, trial_rng(8, k))
+
+
+def test_alternating_seeds_reuse_the_memo():
+    cascade._start_state.cache_clear()
+    runs = [monte_carlo(12, 0.3, UniformLoads(), 0.1, 25, seed) for seed in (1, 2, 1, 2)]
+    info = cascade._start_state.cache_info()
+    assert (info.misses, info.hits) == (50, 50)
+    assert runs[0] == runs[2] and runs[1] == runs[3] and runs[0] != runs[1]
 
 
 def test_monte_carlo_rejects_zero_trials():

@@ -398,6 +398,8 @@ MF_CFG = {"a0": 0.8, "d_m": 0.05}
     ("simulate", dict(SIM_CFG, load="kind"), "load"),
     ("simulate", dict(SIM_CFG, d_m={"start": -1e308, "stop": 1e308, "step": 1e-3}),
      "d_m"),
+    ("sweep-dcrit", {"a0_grid": {"start": 0.9, "stop": 0.5, "step": 0.1}}, "empty grid"),
+    ("meanfield", [], "config must be a JSON object"),
 ])
 def test_bad_config_exits_1_before_any_table(tmp_path, capsys, command, cfg, message):
     path = write_config(tmp_path, "cfg.json", cfg)

@@ -95,6 +95,11 @@ def test_max_iter_exhaustion_is_undetermined():
     assert verdict is Verdict.UNDETERMINED
 
 
+def test_zero_stage_budget_is_rejected():
+    with pytest.raises(ValueError, match="max_iter"):
+        run_recursion(0.8, 0.03, max_iter=0)
+
+
 def test_nan_disturbance_is_rejected_not_undetermined():
     # used to run all 10,000 stages and return Undetermined
     with pytest.raises(ValueError):
