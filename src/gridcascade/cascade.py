@@ -10,9 +10,11 @@ Simultaneously failing nodes do not transfer load to each other. A failing
 node with no alive non-failing neighbor simply drops its load.
 
 The graph is never copied or written. Dead nodes carry load 0, so the nodes
-at or above capacity are exactly the failing ones. On a complete graph every
-failing node neighbors every receiver, so each stage is one shared increment
-instead of a matrix-vector product.
+at or above capacity are exactly the failing ones. On any other graph a stage
+gathers its (receivers x failing) edge block with two ``take`` calls into one
+float copy, which gives the failing nodes' degrees and feeds one BLAS
+matrix-vector product. On a complete graph every failing node neighbors every
+receiver, so each stage is one shared increment instead.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ import numpy as np
 
 from .graph import GraphTopology, generate_er_graph
 
-# the ufunc reductions behind ndarray.sum/.all, without the method wrappers
+# the ufunc reduction behind ndarray.sum, without the method wrapper
 _sum = np.add.reduce
-_all = np.logical_and.reduce
 
 
 # --- initial load distributions -------------------------------------------
@@ -172,11 +173,13 @@ def _stage(graph: GraphTopology, loads: np.ndarray, alive: np.ndarray) -> tuple[
         loads[recv] += _sum(out / recv.size)
         return idx.size, 0.0
     # recv and idx hold live nodes only, so the block holds every edge that
-    # carries load this stage and no edge to a dead node
-    block = graph.adjacency[recv[:, None], idx]
-    deg = _sum(block, axis=0, dtype=np.float64)
+    # carries load this stage and no edge to a dead node. Columns are taken
+    # first, so a stage copies n*|idx| bytes, not n*|recv|; one float copy
+    # serves the degrees and the matvec, which would cast a bool block itself
+    block = graph.adjacency.take(idx, 1).take(recv, 0).astype(np.float64)
+    deg = _sum(block, axis=0)
     dropped = 0.0
-    if not _all(deg):
+    if np.count_nonzero(deg) < deg.size:
         # a column with no recipient is all zero in the block, so a degree
         # of 1 makes its share add exactly 0 to every receiver
         orphan = deg == 0.0

@@ -382,11 +382,25 @@ COMMANDS = {
 }
 
 
+# Above the largest standard exponential numpy draws: its ziggurat tail is
+# r - log1p(-u) with r = 7.697 and u <= 1 - 2**-53, so at most 44.434.
+SHOCK_MAX = 64.0
+
+
 def validate(command: str, cfg: dict) -> dict:
     """The checked values of ``cfg`` for ``command``, or ConfigError. The
     library accepts every value that passes: a later ValueError is a fault."""
     _, keys, model = COMMANDS[command]
-    return _apply(keys, cfg, model)
+    values = _apply(keys, cfg, model)
+    if command == "simulate":
+        # every initial load is below 1 and every shock below SHOCK_MAX*d_m,
+        # so this bound keeps each trial's total load finite
+        n, d_m = max(values["nodes"]), max(values["d_m"])
+        if n > sys.float_info.max / (1.0 + SHOCK_MAX * d_m):  # int vs float: exact
+            raise ConfigError(
+                f"d_m: {d_m} on {n} nodes can overflow the total load; "
+                f"need max(nodes) * (1 + {SHOCK_MAX:g} * max(d_m)) < {sys.float_info.max:g}")
+    return values
 
 
 class _ArgumentParser(argparse.ArgumentParser):

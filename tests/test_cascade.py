@@ -225,6 +225,92 @@ def test_isolated_failing_node_drops_load():
     assert out.total_final_load == pytest.approx(0.5)
 
 
+def test_orphan_drops_its_load_while_a_neighbor_of_the_same_stage_shares():
+    # edges 0-1, 0-2, 0-3, 0-4, 3-4, on a graph never flagged complete.
+    # Stage 1: node 4 fails and gives 0.75 to each of nodes 0 and 3. Stage 2:
+    # both fail; node 0 splits 1.0 between nodes 1 and 2, while node 3 has
+    # only node 0 (failing) and node 4 (dead) and drops its 1.25.
+    adj = np.zeros((5, 5), dtype=bool)
+    for i, j in [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4)]:
+        adj[i, j] = adj[j, i] = True
+    adj.setflags(write=False)
+    g = GraphTopology(5, adj, 0.5)
+    loads = np.array([0.25, 0.25, 0.25, 0.5, 1.5])
+    state, failed = step_cascade(CascadeState.from_graph(g, loads))
+    assert failed == 1
+    assert state.loads.tolist() == [1.0, 0.25, 0.25, 1.25, 0.0]
+    state, failed = step_cascade(state)
+    assert failed == 2
+    assert state.loads.tolist() == [0.0, 0.75, 0.75, 0.0, 0.0]
+    assert state.alive.tolist() == [False, True, True, False, False]
+    out = run_cascade(g, loads)
+    assert out.failures_per_stage == (1, 2)
+    assert out.total_initial_load == 2.75
+    assert out.total_final_load == 2.75 - 1.25
+    assert out.survivor_fraction == 1.5 / 2.75
+
+
+def reference_stage(graph, loads, alive):
+    """The general-graph stage with a 2-D fancy gather of the block, a degree
+    reduction cast from bool and a matmul on the bool block: ``_stage`` must
+    match it byte for byte."""
+    (idx,) = (loads >= 1.0).nonzero()
+    if idx.size == 0:
+        return 0, 0.0
+    alive[idx] = False
+    (recv,) = alive.nonzero()
+    out = loads[idx]
+    loads[idx] = 0.0
+    block = graph.adjacency[recv[:, None], idx]
+    deg = np.add.reduce(block, axis=0, dtype=np.float64)
+    dropped = 0.0
+    if not np.logical_and.reduce(deg):
+        orphan = deg == 0.0
+        dropped = float(np.add.reduce(out[orphan]))
+        deg[orphan] = 1.0
+    loads[recv] += block @ (out / deg)
+    return idx.size, dropped
+
+
+def stage_cases(rng):
+    """(graph, loads, alive) general-graph states: n from 1 to 2,000, dead
+    nodes at load 0, sparse graphs with orphan columns, single failures and
+    stages that leave no receiver."""
+    for n in np.unique(np.geomspace(1, 2000, 40).astype(int)):
+        for p in (0.0, min(2.0 / n, 1.0), 0.3):
+            upper = np.triu(rng.random((n, n), dtype=np.float32) < p, 1)
+            adj = upper | upper.T
+            adj.setflags(write=False)
+            g = GraphTopology(int(n), adj, p)
+            for kind in ("mixed", "one", "all", "mixed"):
+                alive = rng.random(n) >= rng.choice([0.0, 0.3, 0.9])
+                loads = rng.random(n) * rng.choice([1.02, 1.3, 3.0])
+                if kind == "one":
+                    loads = np.minimum(loads, 0.99)
+                    loads[rng.integers(n)] = 1.5
+                elif kind == "all":
+                    loads += 1.0
+                loads[~alive] = 0.0
+                yield g, loads, alive
+
+
+def test_stage_matches_the_reference_formulation_byte_for_byte():
+    seen = {"one": 0, "no_receiver": 0, "orphan": 0, "shared": 0}
+    for g, loads, alive in stage_cases(np.random.default_rng(13)):
+        got_loads, got_alive = loads.copy(), alive.copy()
+        ref_loads, ref_alive = loads.copy(), alive.copy()
+        got = cascade._stage(g, got_loads, got_alive)
+        ref = reference_stage(g, ref_loads, ref_alive)
+        assert repr(got) == repr(ref)
+        assert got_loads.tobytes() == ref_loads.tobytes()
+        assert got_alive.tobytes() == ref_alive.tobytes()
+        seen["one"] += got[0] == 1
+        seen["no_receiver"] += got[0] > 0 and not got_alive.any()
+        seen["orphan"] += got[1] > 0.0
+        seen["shared"] += (got_loads[got_alive] != loads[got_alive]).any()
+    assert min(seen.values()) >= 10, seen
+
+
 # sha256 of the repr of every CascadeOutcome field of 60 trials (uniform
 # loads, d_m 0.1, master seed 42) per (n, p), recorded from the stage kernel
 # that gathered its block with np.ix_. The stage matvec's summation order

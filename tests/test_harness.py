@@ -400,12 +400,52 @@ MF_CFG = {"a0": 0.8, "d_m": 0.05}
      "d_m"),
     ("sweep-dcrit", {"a0_grid": {"start": 0.9, "stop": 0.5, "step": 0.1}}, "empty grid"),
     ("meanfield", [], "config must be a JSON object"),
+    # valid numbers whose shocks, or whose total load, overflow float64
+    ("simulate", dict(SIM_CFG, nodes=100, d_m=1e308), "d_m"),
+    ("simulate", dict(SIM_CFG, nodes=1000, edge_prob=0, d_m=1e306), "d_m"),
 ])
 def test_bad_config_exits_1_before_any_table(tmp_path, capsys, command, cfg, message):
     path = write_config(tmp_path, "cfg.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_huge_but_bounded_shocks_still_run(tmp_path):
+    cfg = dict(SIM_CFG, nodes=100, edge_prob=0.5, d_m=1e300, trials=2)
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / "trials.csv")[1:]
+    assert [row[5] for row in rows] == ["0", "0"]  # every node fails at stage 0
+
+
+def _untemper(y: int) -> int:
+    """The MT19937 state word whose tempered output is ``y``."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    t = y
+    for _ in range(5):
+        t = y ^ ((t << 7) & 0x9D2C5680)
+    y = t & 0xFFFFFFFF
+    t = y
+    for _ in range(3):
+        t = y ^ (t >> 11)
+    return t & 0xFFFFFFFF
+
+
+def test_largest_exponential_draw_is_below_the_shock_bound():
+    # numpy's ziggurat returns its largest value r - log1p(-u) when the first
+    # 64-bit output selects the tail (layer 0, every rejection bit set) and
+    # the uniform u is the largest double below 1; craft exactly that stream
+    bit_generator = np.random.MT19937(0)
+    state = bit_generator.state
+    words = [0xFFFFFFFF, 0xFFFFF800, 0xFFFFFFFF, 0xFFFFFFFF]
+    state["state"]["key"][:4] = [_untemper(w) for w in words]
+    state["state"]["pos"] = 0
+    bit_generator.state = state
+    largest = np.random.Generator(bit_generator).standard_exponential()
+    assert largest == pytest.approx(7.69711747013104972 - math.log1p(-(1 - 2**-53)))
+    assert 44.4 < largest < harness.SHOCK_MAX
 
 
 @pytest.mark.parametrize("argv", [
