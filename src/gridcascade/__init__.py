@@ -7,7 +7,6 @@ from .cascade import (
     AggregateStats,
     BimodalLoads,
     CascadeOutcome,
-    CascadeState,
     DeltaLoads,
     RedistributionLimitCheck,
     UniformLoads,
@@ -16,7 +15,6 @@ from .cascade import (
     monte_carlo,
     run_cascade,
     run_trial,
-    step_cascade,
     trial_rng,
     validate_redistribution_limit,
 )
@@ -39,7 +37,6 @@ __all__ = [
     "BimodalState",
     "Branch",
     "CascadeOutcome",
-    "CascadeState",
     "DeltaLoads",
     "FixedMeanSweepRow",
     "GraphTopology",
@@ -60,7 +57,6 @@ __all__ = [
     "run_cascade",
     "run_recursion",
     "run_trial",
-    "step_cascade",
     "sweep_bimodal_fixed_mean",
     "sweep_dcrit_vs_a0",
     "trial_rng",

@@ -14,8 +14,8 @@ Once the upper mode dies, b_n is clamped to 1 and stays there.
 ``bimodal_verdict`` runs the stages in one loop, as ``recursion_verdict``
 does, and appends each stage row to a list when given one. A row extends
 the unimodal one to ``(n, a_n, p_n, D_n, mu_prev, b_n, branch, p_tilde)``;
-``bimodal_rows`` collects them and ``run_bimodal`` returns one
-``BimodalState`` per row, the row's fields followed by the verdict.
+``run_bimodal`` returns one ``BimodalState`` per row, the row's fields
+followed by the verdict.
 """
 
 from __future__ import annotations
@@ -151,13 +151,6 @@ def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int =
     return UNDETERMINED
 
 
-def bimodal_rows(a0: float, b0: float, pa: float, d_m: float, max_iter: int = 10_000,
-                 tol: float = 1e-12):
-    """The verdict and the stage rows of ``run_bimodal``, with no trace."""
-    rows: list = []
-    return bimodal_verdict(a0, b0, pa, d_m, max_iter, tol, rows), rows
-
-
 def run_bimodal(
     a0: float,
     b0: float,
@@ -167,5 +160,6 @@ def run_bimodal(
     tol: float = 1e-12,
 ) -> tuple[Verdict, list[BimodalState]]:
     """Iterate the two-mode recursion to a verdict, as in the unimodal case."""
-    verdict, rows = bimodal_rows(a0, b0, pa, d_m, max_iter, tol)
+    rows: list = []
+    verdict = bimodal_verdict(a0, b0, pa, d_m, max_iter, tol, rows)
     return verdict, trace(BimodalState, verdict, rows)

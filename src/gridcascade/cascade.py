@@ -106,38 +106,7 @@ def _total(loads: np.ndarray) -> float:
     return total
 
 
-# --- cascade state and stepping -------------------------------------------
-
-@dataclass
-class CascadeState:
-    """Mutable snapshot of a running cascade on a fixed, shared graph: dead
-    nodes are masked out by ``alive``, not by losing edges, and carry load 0."""
-
-    graph: GraphTopology
-    loads: np.ndarray
-    alive: np.ndarray
-    stage: int
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        return self.graph.adjacency
-
-    @classmethod
-    def from_graph(cls, g: GraphTopology, loads: np.ndarray) -> "CascadeState":
-        loads, alive, _ = _start(g, loads)
-        return cls(graph=g, loads=loads, alive=alive, stage=0)
-
-
-def _start(g: GraphTopology, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """A cascade's start: checked float64 copy of ``loads``, all alive, total load."""
-    loads = np.array(loads, dtype=np.float64)
-    if loads.shape != (g.n,):
-        raise ValueError(f"expected {g.n} loads, got shape {loads.shape}")
-    total = _total(loads)
-    if np.minimum.reduce(loads, initial=0.0) < 0:
-        raise ValueError("loads must be nonnegative")
-    return loads, np.ones(g.n, dtype=bool), total
-
+# --- cascade stepping -----------------------------------------------------
 
 @dataclass(frozen=True)
 class CascadeOutcome:
@@ -148,14 +117,6 @@ class CascadeOutcome:
     failures_per_stage: tuple[int, ...]
     total_initial_load: float
     total_final_load: float
-
-
-def step_cascade(state: CascadeState) -> tuple[CascadeState, int]:
-    """One stage on a copy of ``state``: (successor, failures). Zero failures
-    mean the cascade has ended, and the successor equals ``state``."""
-    loads, alive = state.loads.copy(), state.alive.copy()
-    failed, _ = _stage(state.graph, loads, alive)
-    return CascadeState(state.graph, loads, alive, state.stage + (failed > 0)), failed
 
 
 def _stage(graph: GraphTopology, loads: np.ndarray, alive: np.ndarray) -> tuple[int, float]:
@@ -192,7 +153,13 @@ def _stage(graph: GraphTopology, loads: np.ndarray, alive: np.ndarray) -> tuple[
 def run_cascade(g: GraphTopology, loads: np.ndarray) -> CascadeOutcome:
     """Iterate stages on a copy of ``loads`` until none fail; always
     terminates within n stages."""
-    loads, alive, total_initial = _start(g, loads)
+    loads = np.array(loads, dtype=np.float64)
+    if loads.shape != (g.n,):
+        raise ValueError(f"expected {g.n} loads, got shape {loads.shape}")
+    total_initial = _total(loads)
+    if np.minimum.reduce(loads, initial=0.0) < 0:
+        raise ValueError("loads must be nonnegative")
+    alive = np.ones(g.n, dtype=bool)
     failures: list[int] = []
     dropped_total = 0.0
     while True:

@@ -301,7 +301,7 @@ def cmd_dcrit(v: dict, writer: OutputWriter, workers: int) -> dict:
         model.a0,
         getattr(model, "b0", math.nan),
         getattr(model, "pa", math.nan),
-        res.d_critical, res.d_low, res.d_high, res.resolution, res.method,
+        res.d_critical, res.d_low, res.d_high, res.resolution, "bisection",
     )]
     writer.write_table(
         "dcrit",

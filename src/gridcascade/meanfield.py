@@ -15,9 +15,8 @@ in a complete outage when the floor is pushed to capacity 1.
 ``recursion_verdict`` iterates these scalars in one loop, keeping them in
 locals, and returns the verdict. Given a list, it also appends each stage
 as a plain row ``(n, a_n, p_n, D_n, mu_prev)``, mu_prev being the mu that
-produced D_n; ``recursion_rows`` passes one. ``run_recursion`` returns the
-same rows as a trace: one ``MeanFieldState`` per row, the row's fields
-followed by the verdict.
+produced D_n. ``run_recursion`` passes one and returns its rows as a trace:
+one ``MeanFieldState`` per row, the row's fields followed by the verdict.
 """
 
 from __future__ import annotations
@@ -148,12 +147,6 @@ def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float 
     return UNDETERMINED
 
 
-def recursion_rows(a0: float, d_m: float, max_iter: int = 10_000, tol: float = 1e-12):
-    """The verdict and the stage rows of ``run_recursion``, with no trace."""
-    rows: list = []
-    return recursion_verdict(a0, d_m, max_iter, tol, rows), rows
-
-
 def run_recursion(
     a0: float,
     d_m: float,
@@ -165,5 +158,6 @@ def run_recursion(
     Survives when p_n drops below ``tol``; Undetermined when ``max_iter``
     stages pass without resolution (slow dynamics near the threshold).
     """
-    verdict, rows = recursion_rows(a0, d_m, max_iter, tol)
+    rows: list = []
+    verdict = recursion_verdict(a0, d_m, max_iter, tol, rows)
     return verdict, trace(MeanFieldState, verdict, rows)

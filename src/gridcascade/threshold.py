@@ -30,7 +30,6 @@ class ThresholdResult:
     d_low: float   # survives
     d_high: float  # fails (or Undetermined, counted as failure)
     resolution: float
-    method: str    # always "bisection"
     undetermined_in_bracket: bool = False  # some probe was Undetermined
     evaluations: int = 0  # distinct disturbance levels evaluated
 
@@ -77,7 +76,7 @@ def find_d_critical(
         return _fails(probes[d])
 
     def result(d_critical: float, lo: float, hi: float) -> ThresholdResult:
-        return ThresholdResult(d_critical, lo, hi, tol_d, "bisection",
+        return ThresholdResult(d_critical, lo, hi, tol_d,
                                Verdict.UNDETERMINED in probes.values(),
                                len(probes))
 

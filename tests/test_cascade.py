@@ -9,7 +9,6 @@ import pytest
 
 from gridcascade import (
     BimodalLoads,
-    CascadeState,
     DeltaLoads,
     UniformLoads,
     apply_disturbance,
@@ -18,7 +17,6 @@ from gridcascade import (
     monte_carlo,
     run_cascade,
     run_trial,
-    step_cascade,
     trial_rng,
     validate_redistribution_limit,
 )
@@ -57,6 +55,7 @@ def test_bimodal_loads_mean():
         lambda: BimodalLoads(0.9, 0.5, 0.5),
         lambda: BimodalLoads(0.5, 0.9, 1.5),
         lambda: init_loads(0, DeltaLoads(0.8), np.random.default_rng(0)),
+        lambda: BimodalLoads(0.0, 0.9, 0.5),
     ],
 )
 def test_invalid_load_specs_rejected(spec):
@@ -103,31 +102,25 @@ def test_disturbance_rejects_nonpositive_mean():
 # --- stepping -------------------------------------------------------------
 
 def test_single_failure_splits_load_equally():
-    state = CascadeState.from_graph(k3(), np.array([1.2, 0.3, 0.2]))
-    state, failed = step_cascade(state)
-    assert failed == 1
-    assert np.allclose(state.loads, [0.0, 0.9, 0.8])
-    state, failed = step_cascade(state)
-    assert failed == 0
+    g, loads, alive = k3(), np.array([1.2, 0.3, 0.2]), np.ones(3, dtype=bool)
+    assert cascade._stage(g, loads, alive)[0] == 1
+    assert np.allclose(loads, [0.0, 0.9, 0.8])
+    assert cascade._stage(g, loads, alive)[0] == 0
 
 
 def test_simultaneous_failures_do_not_transfer_to_each_other():
-    state = CascadeState.from_graph(k3(), np.array([1.2, 0.5, 0.6]))
-    state, failed = step_cascade(state)
-    assert failed == 1
-    assert np.allclose(state.loads, [0.0, 1.1, 1.2])
-    state, failed = step_cascade(state)
+    g, loads, alive = k3(), np.array([1.2, 0.5, 0.6]), np.ones(3, dtype=bool)
+    assert cascade._stage(g, loads, alive)[0] == 1
+    assert np.allclose(loads, [0.0, 1.1, 1.2])
     # nodes 1 and 2 fail together with no alive neighbor left: loads dropped
-    assert failed == 2
-    assert np.allclose(state.loads, 0.0)
+    assert cascade._stage(g, loads, alive)[0] == 2
+    assert np.allclose(loads, 0.0)
 
 
 def test_stable_state_is_unchanged():
-    state = CascadeState.from_graph(k3(), np.array([0.4, 0.5, 0.6]))
-    after, failed = step_cascade(state)
-    assert failed == 0
-    assert (after.loads == state.loads).all()
-    assert after.stage == state.stage
+    loads, alive = np.array([0.4, 0.5, 0.6]), np.ones(3, dtype=bool)
+    assert cascade._stage(k3(), loads, alive) == (0, 0.0)
+    assert loads.tolist() == [0.4, 0.5, 0.6] and alive.all()
 
 
 def test_run_cascade_trivial():
@@ -148,17 +141,15 @@ def test_run_cascade_total_blackout():
 def test_run_cascade_rejects_nonfinite_loads(bad):
     with pytest.raises(ValueError):
         run_cascade(k3(), np.array([bad, 0.5, 0.6]))
-    with pytest.raises(ValueError):
-        CascadeState.from_graph(k3(), np.array([0.4, 0.5, bad]))
 
 
 def test_hand_built_incomplete_graph_never_takes_the_shift_path():
     # path 0-1-2 labelled edge_prob=1.0: node 0's load all goes to node 1
     adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
     g = GraphTopology(3, adj, 1.0)
-    state, failed = step_cascade(CascadeState.from_graph(g, np.array([1.2, 0.3, 0.2])))
-    assert failed == 1
-    assert np.allclose(state.loads, [0.0, 1.5, 0.2])
+    loads, alive = np.array([1.2, 0.3, 0.2]), np.ones(3, dtype=bool)
+    assert cascade._stage(g, loads, alive)[0] == 1
+    assert np.allclose(loads, [0.0, 1.5, 0.2])
     assert run_cascade(g, np.array([1.2, 0.3, 0.2])).failures_per_stage == (1, 1, 1)
 
 
@@ -168,10 +159,6 @@ def test_cascade_leaves_the_graph_unchanged(p):
     before = g.adjacency.copy()
     loads = np.random.default_rng(5).random(40) * 1.5
     assert run_cascade(g, loads).termination_stage > 0
-    state, failed = CascadeState.from_graph(g, loads), 1
-    while failed:
-        state, failed = step_cascade(state)
-    assert state.adjacency is g.adjacency
     assert (g.adjacency == before).all()
     assert not g.adjacency.flags.writeable
 
@@ -180,8 +167,6 @@ def test_cascade_leaves_the_graph_unchanged(p):
 def test_wrong_number_of_loads_is_rejected(n):
     with pytest.raises(ValueError, match="expected 3 loads"):
         run_cascade(k3(), np.full(n, 0.5))
-    with pytest.raises(ValueError, match="expected 3 loads"):
-        CascadeState.from_graph(k3(), np.full(n, 0.5))
 
 
 def test_run_cascade_rejects_negative_loads():
@@ -196,8 +181,6 @@ def test_overflowing_total_load_is_rejected():
     loads = np.array([1e308, 1e308, 0.5])
     with pytest.raises(ValueError, match="total load"):
         run_cascade(g, loads)
-    with pytest.raises(ValueError, match="total load"):
-        CascadeState.from_graph(g, loads)
 
 
 def test_run_cascade_leaves_the_callers_loads_unchanged():
@@ -206,16 +189,6 @@ def test_run_cascade_leaves_the_callers_loads_unchanged():
     before = loads.copy()
     assert run_cascade(g, loads).termination_stage > 0
     assert (loads == before).all()
-
-
-def test_step_cascade_leaves_its_input_state_unchanged():
-    g = generate_er_graph(30, 0.3, np.random.default_rng(2))
-    state = CascadeState.from_graph(g, np.random.default_rng(3).random(30) * 1.5)
-    loads, alive = state.loads.copy(), state.alive.copy()
-    after, failed = step_cascade(state)
-    assert failed > 0 and after.stage == 1
-    assert (state.loads == loads).all() and (state.alive == alive).all()
-    assert state.stage == 0
 
 
 def test_isolated_failing_node_drops_load():
@@ -236,13 +209,12 @@ def test_orphan_drops_its_load_while_a_neighbor_of_the_same_stage_shares():
     adj.setflags(write=False)
     g = GraphTopology(5, adj, 0.5)
     loads = np.array([0.25, 0.25, 0.25, 0.5, 1.5])
-    state, failed = step_cascade(CascadeState.from_graph(g, loads))
-    assert failed == 1
-    assert state.loads.tolist() == [1.0, 0.25, 0.25, 1.25, 0.0]
-    state, failed = step_cascade(state)
-    assert failed == 2
-    assert state.loads.tolist() == [0.0, 0.75, 0.75, 0.0, 0.0]
-    assert state.alive.tolist() == [False, True, True, False, False]
+    staged, alive = loads.copy(), np.ones(5, dtype=bool)
+    assert cascade._stage(g, staged, alive) == (1, 0.0)
+    assert staged.tolist() == [1.0, 0.25, 0.25, 1.25, 0.0]
+    assert cascade._stage(g, staged, alive) == (2, 1.25)
+    assert staged.tolist() == [0.0, 0.75, 0.75, 0.0, 0.0]
+    assert alive.tolist() == [False, True, True, False, False]
     out = run_cascade(g, loads)
     assert out.failures_per_stage == (1, 2)
     assert out.total_initial_load == 2.75

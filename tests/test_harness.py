@@ -593,3 +593,34 @@ def test_fuzzed_config_never_exits_2(tmp_path, cheap_library, command, data):
     code = main([command, "--config", path, "--out", str(tmp_path / "out"),
                  "--threads", "1"])
     assert code in (0, 1), cfg
+
+
+# valid but extreme numbers, which MUTATIONS never draws: denormals, values
+# next to float max, and integers past int64
+EXTREME_NUMBERS = [5e-324, 1e-300, 1e300, 1.7e308, 2**63, 10**30]
+
+
+def _numeric(x) -> bool:
+    """A number, or a grid given as a list of numbers."""
+    items = x if isinstance(x, list) else [x]
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_CFGS))
+def test_extreme_numbers_never_exit_2(tmp_path, cheap_library, command):
+    """Every numeric key (a number or a list of numbers) set to each
+    extreme number: the run either succeeds or rejects the config."""
+    runs = 0
+    for *parents, key in key_paths(FUZZ_CFGS[command]):
+        for value in EXTREME_NUMBERS:
+            cfg = json.loads(json.dumps(FUZZ_CFGS[command]))
+            target = cfg[parents[0]] if parents else cfg
+            if not _numeric(target[key]):
+                break
+            target[key] = value
+            path = write_config(tmp_path, "cfg.json", cfg)
+            code = main([command, "--config", path, "--out", str(tmp_path / "out"),
+                         "--threads", "1"])
+            assert code in (0, 1), cfg
+            runs += 1
+    assert runs > 0

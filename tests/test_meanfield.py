@@ -48,6 +48,9 @@ def test_mean_failed_load_limit_and_bounds():
     for D in (0.01, 0.1, 0.5, 2.0):
         mu = mean_failed_load(D, 0.1)
         assert 1.0 < mu <= 1.1 + 1e-12
+    # D/d_m underflows to 0 or overflows to inf: the two limits, 1 and 1 + d_m
+    assert mean_failed_load(5e-324, 10.0) == 1.0
+    assert mean_failed_load(1e300, 1e-10) == 1.0 + 1e-10
 
 
 def test_subcritical_failure_probabilities_decrease():

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 
 from gridcascade import (
     BimodalLoads,
-    CascadeState,
     DeltaLoads,
     UniformLoads,
     Verdict,
@@ -21,12 +22,12 @@ from gridcascade import (
     run_bimodal,
     run_cascade,
     run_recursion,
-    step_cascade,
 )
 import gridcascade
-from gridcascade.bimodal import BOTH_ALIVE, LOWER_ONLY, UPPER_DIES, bimodal_rows
+from gridcascade import cascade, harness, threshold
+from gridcascade.bimodal import BOTH_ALIVE, LOWER_ONLY, UPPER_DIES, bimodal_verdict
 from gridcascade.graph import GraphTopology
-from gridcascade.meanfield import mean_failed_load, recursion_rows
+from gridcascade.meanfield import mean_failed_load, recursion_verdict
 from gridcascade.threshold import model_verdict
 
 
@@ -39,31 +40,31 @@ def random_instance(rng):
     return g, loads
 
 
-def check_invariants(g, loads):
-    state = CascadeState.from_graph(g, loads)
+def check_invariants(g, init):
+    loads, alive = init.copy(), np.ones(g.n, dtype=bool)
     stages = 0
     while True:
-        failing = state.alive & (state.loads >= 1.0)
+        failing = alive & (loads >= 1.0)
         idx = np.flatnonzero(failing)
-        recv = state.alive & ~failing
+        recv = alive & ~failing
         all_have_recipient = bool(
-            np.all(state.adjacency[np.ix_(np.flatnonzero(recv), idx)].sum(axis=0) > 0)
+            np.all(g.adjacency[np.ix_(np.flatnonzero(recv), idx)].sum(axis=0) > 0)
         ) if idx.size else True
-        before_alive = state.alive.copy()
-        before_sum = state.loads.sum()
-        state, failed = step_cascade(state)
+        before_alive = alive.copy()
+        before_sum = loads.sum()
+        failed, _ = cascade._stage(g, loads, alive)
         if failed == 0:
             break
         stages += 1
         # monotone death
-        assert np.all(before_alive | ~state.alive)
-        assert not state.alive[idx].any()
-        assert (state.loads[idx] == 0.0).all()
+        assert np.all(before_alive | ~alive)
+        assert not alive[idx].any()
+        assert (loads[idx] == 0.0).all()
         # conservation holds whenever every failing node kept a recipient
         if all_have_recipient:
-            assert state.loads.sum() == pytest.approx(before_sum, rel=1e-9)
+            assert loads.sum() == pytest.approx(before_sum, rel=1e-9)
     assert stages <= g.n
-    out = run_cascade(g, loads)
+    out = run_cascade(g, init)
     assert out.termination_stage == stages
 
 
@@ -94,10 +95,10 @@ def test_run_cascade_matches_manual_stepping(seed):
     rng = np.random.default_rng(seed)
     g, loads = random_instance(rng)
     out = run_cascade(g, loads)
-    state = CascadeState.from_graph(g, loads)
+    loads, alive = loads.copy(), np.ones(g.n, dtype=bool)
     counts = []
     while True:
-        state, failed = step_cascade(state)
+        failed, _ = cascade._stage(g, loads, alive)
         if failed == 0:
             break
         counts.append(failed)
@@ -107,10 +108,10 @@ def test_run_cascade_matches_manual_stepping(seed):
 
 
 def _final_loads(g, loads):
-    state, failed = CascadeState.from_graph(g, loads), 1
-    while failed:
-        state, failed = step_cascade(state)
-    return state.loads
+    loads, alive = loads.copy(), np.ones(g.n, dtype=bool)
+    while cascade._stage(g, loads, alive)[0]:
+        pass
+    return loads
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,11 +151,13 @@ def test_model_verdict_matches_the_traced_run(a0, gap, pa, d_m, bimodal, max_ite
         b0 = min(a0 + gap, 0.99)
         model = BimodalLoads(a0, b0, pa)
         verdict, trace = run_bimodal(a0, b0, pa, d_m, max_iter=max_iter, tol=tol)
-        _, rows = bimodal_rows(a0, b0, pa, d_m, max_iter=max_iter, tol=tol)
+        rows = []
+        bimodal_verdict(a0, b0, pa, d_m, max_iter=max_iter, tol=tol, rows=rows)
     else:
         model = DeltaLoads(a0)
         verdict, trace = run_recursion(a0, d_m, max_iter=max_iter, tol=tol)
-        _, rows = recursion_rows(a0, d_m, max_iter=max_iter, tol=tol)
+        rows = []
+        recursion_verdict(a0, d_m, max_iter=max_iter, tol=tol, rows=rows)
     assert trace[-1].verdict is verdict
     assert all(s.verdict is Verdict.RUNNING for s in trace[:-1])
     # a state is its row, then the verdict; repr compares the nan p_tilde
@@ -217,10 +220,11 @@ OUTAGE, SURVIVES, UNDETERMINED = (
 ])
 def test_each_loop_exit_gives_its_verdict_and_trace(args, max_iter, verdict, mark):
     unimodal = len(args) == 2
-    run, rows_of = (run_recursion, recursion_rows) if unimodal else (run_bimodal, bimodal_rows)
+    run, loop = (run_recursion, recursion_verdict) if unimodal else (run_bimodal, bimodal_verdict)
     model = DeltaLoads(*args[:1]) if unimodal else BimodalLoads(*args[:3])
     traced, trace = run(*args, max_iter=max_iter)
-    rows_verdict, rows = rows_of(*args, max_iter=max_iter)
+    rows = []
+    rows_verdict = loop(*args, max_iter=max_iter, rows=rows)
     # model_verdict runs the same loop without a row list
     assert traced is rows_verdict is model_verdict(model, args[-1], max_iter) is verdict
     assert repr([dataclasses.astuple(s)[:-1] for s in trace]) == repr(rows)
@@ -232,12 +236,13 @@ def test_mu_prev_is_the_mean_failed_load_of_the_previous_shift():
     mean_failed_load(D_prev, d_m) bit for bit."""
     seen = {"unimodal": 0, BOTH_ALIVE: 0, LOWER_ONLY: 0}
     d_grid = [1e-3 * 1.2 ** k for k in range(38)]  # 0.001 .. ~0.85
-    runs = [((a0,), recursion_rows) for a0 in (0.3, 0.6, 0.8, 0.95)]
-    runs += [(model, bimodal_rows) for model in
+    runs = [((a0,), recursion_verdict) for a0 in (0.3, 0.6, 0.8, 0.95)]
+    runs += [(model, bimodal_verdict) for model in
              ((0.5, 0.9, 0.25), (0.4, 0.9, 0.8), (0.6, 0.85, 0.9), (0.2, 0.7, 0.5))]
-    for model, rows_of in runs:
+    for model, loop in runs:
         for d_m in d_grid:
-            _, rows = rows_of(*model, d_m)
+            rows = []
+            loop(*model, d_m, rows=rows)
             for prev, row in zip(rows, rows[1:]):
                 if _unchanged(row, prev):
                     continue  # an outage exit, no stage computed
@@ -249,16 +254,18 @@ def test_mu_prev_is_the_mean_failed_load_of_the_previous_shift():
 
 
 # sha256 of repr((verdict, rows)), or repr((exception type, message)), of
-# every recursion_rows and bimodal_rows call over a grid of extreme inputs:
+# every recursion_verdict and bimodal_verdict call, given a row list, over a
+# grid of extreme inputs:
 # floors next to capacity, disturbance means from 1e-300 to 1e300, a 3-stage
 # budget, a denormal tol, and two-mode splits with pa 0, 0.25 and 1. Recorded
 # from the loops that called mean_failed_load, guards and all, every stage.
 EXTREME_GOLDEN = "346bd9a682b3386872c299e4142af397bd53187d988a09aaeb42d1aad68d443c"
 
 
-def _outcome(rows_of, *args):
+def _outcome(loop, *args):
+    rows = []
     try:
-        return repr(rows_of(*args))
+        return repr((loop(*args, rows=rows), rows))
     except Exception as exc:
         return repr((type(exc).__name__, str(exc)))
 
@@ -269,12 +276,25 @@ def test_recursions_on_extreme_inputs_match_golden_digest():
     for a0 in (0.05, 0.3, 0.6, 0.8, 0.95, 1.0 - 1e-12):
         for d_m in d_grid:
             for max_iter, tol in ((3, 1e-12), (10_000, 1e-12), (10_000, 1e-320)):
-                h.update(_outcome(recursion_rows, a0, d_m, max_iter, tol).encode())
+                h.update(_outcome(recursion_verdict, a0, d_m, max_iter, tol).encode())
                 for b0 in (a0, a0 + 0.5 * (1.0 - a0)):
                     for pa in (0.0, 0.25, 1.0):
-                        h.update(_outcome(bimodal_rows, a0, b0, pa, d_m, max_iter, tol).encode())
+                        h.update(_outcome(bimodal_verdict, a0, b0, pa, d_m, max_iter, tol).encode())
     assert h.hexdigest() == EXTREME_GOLDEN
 
 
 def test_every_exported_name_resolves():
     assert [n for n in gridcascade.__all__ if not hasattr(gridcascade, n)] == []
+
+
+def test_benchmark_tracer_finds_every_name_it_patches(monkeypatch):
+    """perfbench/tracing.py patches names in gridcascade's modules by string;
+    dropping or renaming one of them must fail tier-1, not only a benchmark
+    run. Installing the tracer looks up every patched name."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    originals = (threshold.run_recursion, cascade.ProcessPoolExecutor, harness.monte_carlo)
+    with tracing.Tracer().install():
+        assert threshold.run_recursion is not originals[0]
+    assert (threshold.run_recursion, cascade.ProcessPoolExecutor,
+            harness.monte_carlo) == originals

@@ -263,11 +263,11 @@ def test_fixed_mean_continuity_near_diagonal():
 # find_d_critical results recorded before the search kept a probe record
 RECORDED = [
     (DeltaLoads(0.8), ThresholdResult(
-        0.04928125, 0.04925, 0.0493125, 0.0001, "bisection", False, 16)),
+        0.04928125, 0.04925, 0.0493125, 0.0001, False, 16)),
     (BimodalLoads(0.5, 0.9, 0.25), ThresholdResult(
-        0.02196875, 0.0219375, 0.022, 0.0001, "bisection", False, 14)),
+        0.02196875, 0.0219375, 0.022, 0.0001, False, 14)),
     (BimodalLoads(0.4, 0.9, 0.8), ThresholdResult(
-        0.04828125, 0.04825, 0.0483125, 0.0001, "bisection", False, 16)),
+        0.04828125, 0.04825, 0.0483125, 0.0001, False, 16)),
 ]
 
 
@@ -292,8 +292,9 @@ def test_each_level_is_probed_once(monkeypatch, model, expected):
     BimodalLoads(0.4, 0.9, 0.8),
 ], ids=repr)
 def test_bracket_endpoints_hold_on_a_fresh_evaluation(model, tol_d, max_iter):
-    # the search checks its endpoints against recorded verdicts only; a
-    # fresh run must agree (max_iter is cut at 1e-18 to keep the test fast)
+    # the search never checks its endpoints again, so a fresh evaluation must
+    # agree with the probes that set them (max_iter is cut at 1e-18 to keep
+    # the test fast)
     res = find_d_critical(model, tol_d=tol_d, max_iter=max_iter)
     assert model_verdict(model, res.d_low, max_iter=max_iter) is Verdict.SURVIVES
     assert model_verdict(model, res.d_high, max_iter=max_iter) is not Verdict.SURVIVES
