@@ -15,18 +15,31 @@ gathers its (receivers x failing) edge block with two ``take`` calls into one
 float copy, which gives the failing nodes' degrees and feeds one BLAS
 matrix-vector product. On a complete graph every failing node neighbors every
 receiver, so each stage is one shared increment instead.
+
+Monte Carlo trial ``k`` draws from its own substream, ``trial_rng(seed, k)``:
+first the graph's edge weights, then the loads, then the shocks. None of
+these draws depends on the edge probability, so ``monte_carlo`` runs a
+sequence of edge probabilities trial by trial: one draw, then one
+threshold and one cascade per probability.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .graph import GraphTopology, generate_er_graph
+from .graph import (
+    GraphTopology,
+    check_graph_args,
+    draw_weights,
+    generate_er_graph,
+    threshold_graph,
+)
 
 # the ufunc reduction behind ndarray.sum, without the method wrapper
 _sum = np.add.reduce
@@ -213,41 +226,66 @@ def run_trial(
 @lru_cache(maxsize=1 << 12)
 def _start_state(master_seed: int, k: int) -> dict:
     """The state ``trial_rng(master_seed, k)`` starts from, shared by every
-    caller and only read. Grid points share trial indices 0..trials-1, so
-    each index is seeded once while the memo holds it."""
+    caller and only read. Every (nodes, d_m) run reuses trial indices
+    0..trials-1, so each index is seeded once while the memo holds it."""
     return trial_rng(master_seed, k).bit_generator.state
 
 
 def _trials(
-    n: int, p: float, spec: LoadDistributionSpec, d_m: float, master_seed: int, ks: range,
-) -> list[CascadeOutcome]:
-    """Trials ``ks`` in order, on one generator of this call's own, reset
-    to each trial's start state: the draws are those of ``trial_rng``."""
+    n: int, ps: tuple[float, ...], spec: LoadDistributionSpec, d_m: float,
+    master_seed: int, ks: range,
+) -> list[list[CascadeOutcome]]:
+    """Trials ``ks`` in order, each as its outcomes at every edge
+    probability in ``ps``, in order.
+
+    One generator of this call's own is reset to each trial's start state,
+    so the draws are those of ``trial_rng``. A trial draws its edge weights,
+    loads and shocks once and runs the cascade on each ``p``'s graph: what
+    ``run_trial`` draws does not depend on ``p``, so each outcome is
+    ``run_trial``'s at that ``p``.
+    """
     rng = np.random.Generator(np.random.PCG64(0))
-    outcomes = []
+    rows = []
     for k in ks:
         rng.bit_generator.state = _start_state(master_seed, k)
-        outcomes.append(run_trial(n, p, spec, d_m, rng))
-    return outcomes
+        weights = draw_weights(n, ps, rng)
+        loads = apply_disturbance(init_loads(n, spec, rng), d_m, rng)
+        rows.append([run_cascade(threshold_graph(n, p, weights), loads) for p in ps])
+    return rows
 
 
 def monte_carlo(
-    n: int, p: float, spec: LoadDistributionSpec, d_m: float, trials: int,
+    n: int, p: float | Sequence[float], spec: LoadDistributionSpec, d_m: float, trials: int,
     master_seed: int, workers: int = 1,
-) -> AggregateStats:
-    """Run independent trials; results do not depend on ``workers``."""
+) -> AggregateStats | list[AggregateStats]:
+    """Run independent trials at edge probability ``p``; results do not
+    depend on ``workers``.
+
+    Given a sequence of edge probabilities, return one ``AggregateStats``
+    per entry, in order, each equal to that of a call at the entry alone.
+    Trial ``k`` draws once and serves every entry. With ``workers > 1``,
+    one pool runs chunks of 8 trial indices, each over every entry.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    run, ks = partial(_trials, n, p, spec, d_m, master_seed), range(trials)
+    grid = np.ndim(p) > 0
+    ps = tuple(p) if grid else (p,)
+    check_graph_args(n, ps)
+    run, ks = partial(_trials, n, ps, spec, d_m, master_seed), range(trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(run, [ks[i:i + 8] for i in range(0, trials, 8)])  # in order
-            outcomes = tuple(out for chunk in chunks for out in chunk)
+            rows = [row for chunk in chunks for row in chunk]
     else:
-        outcomes = tuple(run(ks))
+        rows = run(ks)
+    stats = [_aggregate(outcomes) for outcomes in zip(*rows)]
+    return stats if grid else stats[0]
+
+
+def _aggregate(outcomes: tuple[CascadeOutcome, ...]) -> AggregateStats:
     fractions = np.array([o.survivor_fraction for o in outcomes])
     return AggregateStats(
-        trials=trials,
+        trials=len(outcomes),
         prob_no_outage=float(np.mean(fractions == 1.0)),
         mean_outage_fraction=float(1.0 - fractions.mean()),
         per_trial_fractions=tuple(fractions),

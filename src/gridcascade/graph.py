@@ -4,10 +4,17 @@ Nodes are generators that have agreed to share each other's load on failure.
 Every graph is immutable: its adjacency matrix is read-only, so a cascade
 can run over it without copying it. A generated complete graph holds its
 adjacency in O(n) memory, as a strided view over 2n - 1 bytes.
+
+An Erdős–Rényi graph is drawn in two steps: ``draw_weights`` draws one
+uniform per node pair into a symmetric matrix, and ``threshold_graph`` keeps
+the pairs below ``p``. The weights do not depend on ``p``, so graphs at
+several edge probabilities can share one draw; ``generate_er_graph`` is the
+two steps at one ``p``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -43,20 +50,56 @@ def generate_er_graph(n: int, p: float, rng: np.random.Generator) -> GraphTopolo
     the state that drawing ``n * n`` uniforms leaves, but at ``p == 1`` a
     PCG64 generator is advanced past them instead of drawing them.
     """
+    check_graph_args(n, (p,))
+    return threshold_graph(n, p, draw_weights(n, (p,), rng))
+
+
+def check_graph_args(n: int, ps: Iterable[float]) -> None:
+    """Raise ValueError unless ``n >= 1`` and every ``p`` in ``ps`` is in [0, 1]."""
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    if p == 1.0:
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"edge probability must be in [0, 1], got {p}")
+
+
+def draw_weights(
+    n: int, ps: Iterable[float], rng: np.random.Generator,
+) -> np.ndarray | None:
+    """The ``n * n`` uniforms that graphs at the edge probabilities ``ps``
+    are thresholded from, as a symmetric matrix with a diagonal of 2.
+
+    Pair ``i < j`` takes the uniform drawn at ``(i, j)``; the one drawn at
+    ``(j, i)`` is overwritten. If every ``p`` is 1, no graph reads the
+    weights: a PCG64 generator is advanced past them instead and None is
+    returned. Either way the generator ends in the same state.
+    """
+    if all(p == 1.0 for p in ps):
         if isinstance(rng.bit_generator, np.random.PCG64):
             _skip_doubles(rng.bit_generator, n * n)
         else:
             rng.random((n, n))
+        return None
+    w = rng.random((n, n))
+    # a block at a time, so no temporary is larger than one block: a whole
+    # transposed copy would double the peak memory of a large draw
+    for i in range(0, n, _BLOCK):
+        rows = w[i:i + _BLOCK]
+        for j in range(0, i, _BLOCK):
+            rows[:, j:j + _BLOCK] = w[j:j + _BLOCK, i:i + _BLOCK].T
+        diag = rows[:, i:i + _BLOCK]
+        np.copyto(diag, diag.T, where=_strict_lower_mask(len(diag)))
+    w.reshape(-1)[::n + 1] = 2.0  # the diagonal
+    return w
+
+
+def threshold_graph(n: int, p: float, weights: np.ndarray | None) -> GraphTopology:
+    """The graph of the pairs whose weight is below ``p``, from
+    ``draw_weights``; at ``p == 1`` the complete graph, which reads none."""
+    if p == 1.0:
         adj = _complete_adjacency(n)
     else:
-        adj = rng.random((n, n)) < p
-        adj &= _strict_upper_mask(n)
-        adj |= adj.T
+        adj = weights < p  # the diagonal of 2 leaves no self-loop
         adj.setflags(write=False)
     g = GraphTopology(n=n, adjacency=adj, edge_prob=p)
     object.__setattr__(g, "complete", p == 1.0)
@@ -86,8 +129,11 @@ def _complete_adjacency(n: int) -> np.ndarray:
     return as_strided(ramp[n - 1:], shape=(n, n), strides=(-1, 1), writeable=False)
 
 
+_BLOCK = 256  # rows and columns of one block of ``draw_weights``' symmetrization
+
+
 @lru_cache(maxsize=4)
-def _strict_upper_mask(n: int) -> np.ndarray:
-    mask = ~np.tri(n, dtype=bool)
+def _strict_lower_mask(n: int) -> np.ndarray:
+    mask = np.tri(n, k=-1, dtype=bool)
     mask.setflags(write=False)
     return mask

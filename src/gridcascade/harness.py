@@ -238,9 +238,12 @@ def cmd_simulate(v: dict, writer: OutputWriter, workers: int) -> dict:
     trial_rows = []
     agg_rows = []
     for n in v["nodes"]:
-        for p in v["edge_prob"]:
-            for d_m in v["d_m"]:
-                stats = monte_carlo(n, p, v["load"], d_m, trials, v["seed"], workers=workers)
+        # one call per (n, d_m) draws each trial once for the whole edge_prob grid
+        runs = [monte_carlo(n, v["edge_prob"], v["load"], d_m, trials, v["seed"], workers=workers)
+                for d_m in v["d_m"]]
+        for j, p in enumerate(v["edge_prob"]):
+            for d_m, run in zip(v["d_m"], runs):
+                stats = run[j]
                 for k, out in enumerate(stats.outcomes):
                     trial_rows.append((
                         n, p, d_m, k,

@@ -414,6 +414,38 @@ def test_alternating_seeds_reuse_the_memo():
     assert runs[0] == runs[2] and runs[1] == runs[3] and runs[0] != runs[1]
 
 
+# unsorted, with a duplicate and both ends of [0, 1]; and an all-complete
+# grid, whose trials advance past the weights instead of drawing them
+EDGE_PROB_GRIDS = [(0.5, 0.0, 1.0, 0.2, 0.5), (1.0, 1.0)]
+GRID_LOADS = [UniformLoads(), DeltaLoads(0.7), BimodalLoads(0.3, 0.8, 0.4)]
+
+
+@pytest.mark.parametrize("ps", EDGE_PROB_GRIDS)
+@pytest.mark.parametrize("spec", GRID_LOADS, ids=lambda spec: type(spec).__name__)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_entry_j_is_the_scalar_call_at_p_j(workers, spec, ps):
+    grid = monte_carlo(20, ps, spec, 0.1, 19, 3, workers=workers)
+    assert isinstance(grid, list) and len(grid) == len(ps)
+    for p, stats in zip(ps, grid):
+        alone = monte_carlo(20, p, spec, 0.1, 19, 3)
+        assert isinstance(alone, cascade.AggregateStats)
+        assert stats.outcomes == alone.outcomes
+        assert stats == alone
+
+
+@pytest.mark.parametrize("ps", [
+    (0.5, 1.5), (-0.1, 0.5), (0.2, math.nan, 1.0), (0.5, 1.0, math.inf)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_rejects_any_bad_edge_prob_before_any_trial(monkeypatch, workers, ps):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial or a pool started before the grid was checked")
+
+    monkeypatch.setattr(cascade, "_trials", no_trials)
+    monkeypatch.setattr(cascade, "ProcessPoolExecutor", no_trials)
+    with pytest.raises(ValueError, match="edge probability"):
+        monte_carlo(10, ps, UniformLoads(), 0.1, 20, 1, workers=workers)
+
+
 def test_monte_carlo_rejects_zero_trials():
     with pytest.raises(ValueError):
         monte_carlo(10, 0.5, UniformLoads(), 0.1, 0, master_seed=1)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.lib.array_utils import byte_bounds
 
 from gridcascade import generate_er_graph, trial_rng
-from gridcascade.graph import GraphTopology
+from gridcascade.graph import GraphTopology, draw_weights, threshold_graph
 
 
 def test_p_one_gives_complete_graph():
@@ -109,3 +110,45 @@ def test_complete_adjacency_is_k_n(make_rng, n):
 def test_complete_adjacency_spans_2n_minus_1_bytes(make_rng, n):
     low, high = byte_bounds(generate_er_graph(n, 1.0, make_rng()).adjacency)
     assert high - low == 2 * n - 1
+
+
+def _drawn_adjacency(rng, n, p):
+    """The ER draw as ``generate_er_graph`` first spelled it: the strict
+    upper triangle of ``random((n, n)) < p``, mirrored."""
+    adj = rng.random((n, n)) < p
+    adj &= ~np.tri(n, dtype=bool)
+    return adj | adj.T
+
+
+# one draw serves every p of a grid; each threshold must be the graph, and
+# the generator's end state (buffered 32-bit half included) that of a fresh
+# generate_er_graph at that p alone, whose p == 1 path skips the draw
+@pytest.mark.parametrize("ps", [(0.0,), (0.3,), (1.0,), (0.0, 0.3, 1.0), (1.0, 1.0)])
+@pytest.mark.parametrize("n", [1, 2, 3, 300])  # 300 rows cross a 256-row block
+def test_one_draw_thresholds_to_each_generated_graph(n, ps):
+    rng = _pcg64_with_pending_half()
+    weights = draw_weights(n, ps, rng)
+    for p in ps:
+        g = threshold_graph(n, p, weights)
+        fresh, spelled = _pcg64_with_pending_half(), _pcg64_with_pending_half()
+        expected = generate_er_graph(n, p, fresh)
+        assert g.adjacency.tobytes() == expected.adjacency.tobytes()
+        assert g.adjacency.tobytes() == _drawn_adjacency(spelled, n, p).tobytes()
+        assert g.complete == expected.complete and not g.adjacency.flags.writeable
+        np.testing.assert_equal(rng.bit_generator.state, fresh.bit_generator.state)
+        np.testing.assert_equal(rng.bit_generator.state, spelled.bit_generator.state)
+    assert (weights is None) == all(p == 1.0 for p in ps)
+
+
+def test_draw_memory_peaks_at_one_float_and_one_bool_matrix():
+    # the weights (8 n^2 bytes) and the adjacency (n^2) are all a draw needs;
+    # symmetrizing with a transposed copy would add another 8 n^2
+    n, rng = 1000, np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        g = generate_er_graph(n, 0.5, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.adjacency.shape == (n, n)
+    assert peak <= 1.2 * 8 * n * n

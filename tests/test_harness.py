@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gridcascade import BimodalLoads, DeltaLoads, find_d_critical, harness
+from gridcascade import BimodalLoads, DeltaLoads, cascade, find_d_critical, harness
 from gridcascade.harness import main
 
 
@@ -98,6 +98,25 @@ def test_simulate_tables_match_golden_digests(tmp_path, threads):
     for name, digest in GOLDEN_SHA256.items():
         data = (tmp_path / "out" / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_pooled_simulate_starts_one_pool_per_nodes_and_d_m(tmp_path, monkeypatch):
+    pools = []
+
+    class CountedPool(cascade.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(None)
+            super().__init__(*args, **kwargs)
+
+    cfg = write_config(tmp_path, "sim.json", dict(SIM_CFG, edge_prob=[0.2, 0.6, 1.0], trials=10))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+    monkeypatch.setattr(cascade, "ProcessPoolExecutor", CountedPool)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "pooled"),
+                 "--threads", "2"]) == 0
+    assert len(pools) == 2  # 2 nodes x 1 d_m, not one per edge_prob point as well
+    for name in ("trials.csv", "aggregate.csv"):
+        assert (tmp_path / "pooled" / name).read_bytes() == \
+            (tmp_path / "serial" / name).read_bytes()
 
 
 def test_simulate_seed_flag_overrides_config(tmp_path):
