@@ -248,10 +248,27 @@ def _trials(
     rows = []
     for k in ks:
         rng.bit_generator.state = _start_state(master_seed, k)
-        weights = draw_weights(n, ps, rng)
-        loads = apply_disturbance(init_loads(n, spec, rng), d_m, rng)
-        rows.append([run_cascade(threshold_graph(n, p, weights), loads) for p in ps])
+        rows.append(_trial_row(n, ps, spec, d_m, rng))
     return rows
+
+
+def _trial_row(
+    n: int, ps: tuple[float, ...], spec: LoadDistributionSpec, d_m: float,
+    rng: np.random.Generator,
+) -> list[CascadeOutcome]:
+    """One trial's outcomes at every edge probability in ``ps``, from one
+    draw of its edge weights, loads and shocks."""
+    weights = draw_weights(n, ps, rng)
+    loads = apply_disturbance(init_loads(n, spec, rng), d_m, rng)
+    *head, last = ps
+    row = [run_cascade(threshold_graph(n, p, weights), loads) for p in head]
+    g = threshold_graph(n, last, weights)
+    # free the n * n weights before the last cascade, and the last graph with
+    # this frame before the next trial draws: at a single p a trial holds no
+    # more than run_trial does
+    del weights
+    row.append(run_cascade(g, loads))
+    return row
 
 
 def monte_carlo(

@@ -3,6 +3,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,6 +445,22 @@ def test_grid_rejects_any_bad_edge_prob_before_any_trial(monkeypatch, workers, p
     monkeypatch.setattr(cascade, "ProcessPoolExecutor", no_trials)
     with pytest.raises(ValueError, match="edge probability"):
         monte_carlo(10, ps, UniformLoads(), 0.1, 20, 1, workers=workers)
+
+
+def test_single_p_trials_peak_like_one_draw():
+    # one trial's weights (8 n^2 bytes) and adjacency (n^2) are all it needs
+    # at once: the weights must be freed before its cascade and before the
+    # next trial draws, or two float matrices are held together
+    n = 1000
+    cascade._trials(2, (0.5,), UniformLoads(), 0.1, 7, range(1))  # lazy imports
+    tracemalloc.start()
+    try:
+        rows = cascade._trials(n, (0.5,), UniformLoads(), 0.1, 7, range(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2
+    assert peak <= 1.2 * 8 * n * n
 
 
 def test_monte_carlo_rejects_zero_trials():
