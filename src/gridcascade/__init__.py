@@ -14,7 +14,6 @@ from .cascade import (
     init_loads,
     monte_carlo,
     run_cascade,
-    run_trial,
     trial_rng,
     validate_redistribution_limit,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "run_bimodal",
     "run_cascade",
     "run_recursion",
-    "run_trial",
     "sweep_bimodal_fixed_mean",
     "sweep_dcrit_vs_a0",
     "trial_rng",

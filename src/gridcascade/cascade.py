@@ -16,11 +16,12 @@ float copy, which gives the failing nodes' degrees and feeds one BLAS
 matrix-vector product. On a complete graph every failing node neighbors every
 receiver, so each stage is one shared increment instead.
 
-Monte Carlo trial ``k`` draws from its own substream, ``trial_rng(seed, k)``:
-first the graph's edge weights, then the loads, then the shocks. None of
-these draws depends on the edge probability, so ``monte_carlo`` runs a
-sequence of edge probabilities trial by trial: one draw, then one
-threshold and one cascade per probability.
+``run_cascade`` checks a graph's loads, then runs the one cascade loop,
+``_cascade``. Monte Carlo trial ``k`` draws from its own substream,
+``trial_rng(seed, k)``: first the graph's edge weights, then the loads, then
+the shocks. None of these draws depends on the edge probability, so
+``monte_carlo`` runs a sequence of edge probabilities trial by trial: one
+draw and one check of its loads, then one ``_cascade`` per probability.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .graph import (
+# generate_er_graph: unused, but perfbench/tracing.py wraps it here
+from .graph import (  # noqa: F401
     GraphTopology,
     check_graph_args,
     draw_weights,
     generate_er_graph,
-    threshold_graph,
+    threshold_adjacency,
 )
 
 # the ufunc reduction behind ndarray.sum, without the method wrapper
@@ -128,12 +130,11 @@ class CascadeOutcome:
     termination_stage: int
     survivor_fraction: float
     failures_per_stage: tuple[int, ...]
-    total_initial_load: float
-    total_final_load: float
 
 
-def _stage(graph: GraphTopology, loads: np.ndarray, alive: np.ndarray) -> tuple[int, float]:
-    """One stage, writing ``loads`` and ``alive``: (failures, dropped load)."""
+def _stage(adj: np.ndarray | None, loads: np.ndarray, alive: np.ndarray) -> tuple[int, float]:
+    """One stage on adjacency ``adj`` (None: the complete graph), writing
+    ``loads`` and ``alive``: (failures, dropped load)."""
     (idx,) = (loads >= 1.0).nonzero()
     if idx.size == 0:
         return 0, 0.0
@@ -141,7 +142,7 @@ def _stage(graph: GraphTopology, loads: np.ndarray, alive: np.ndarray) -> tuple[
     (recv,) = alive.nonzero()
     out = loads[idx]
     loads[idx] = 0.0
-    if graph.complete:
+    if adj is None:
         if not recv.size:
             return idx.size, float(_sum(out))
         loads[recv] += _sum(out / recv.size)
@@ -150,7 +151,7 @@ def _stage(graph: GraphTopology, loads: np.ndarray, alive: np.ndarray) -> tuple[
     # carries load this stage and no edge to a dead node. Columns are taken
     # first, so a stage copies n*|idx| bytes, not n*|recv|; one float copy
     # serves the degrees and the matvec, which would cast a bool block itself
-    block = graph.adjacency.take(idx, 1).take(recv, 0).astype(np.float64)
+    block = adj.take(idx, 1).take(recv, 0).astype(np.float64)
     deg = _sum(block, axis=0)
     dropped = 0.0
     if np.count_nonzero(deg) < deg.size:
@@ -169,14 +170,21 @@ def run_cascade(g: GraphTopology, loads: np.ndarray) -> CascadeOutcome:
     loads = np.array(loads, dtype=np.float64)
     if loads.shape != (g.n,):
         raise ValueError(f"expected {g.n} loads, got shape {loads.shape}")
-    total_initial = _total(loads)
+    total = _total(loads)
     if np.minimum.reduce(loads, initial=0.0) < 0:
         raise ValueError("loads must be nonnegative")
-    alive = np.ones(g.n, dtype=bool)
+    return _cascade(None if g.complete else g.adjacency, loads, total)
+
+
+def _cascade(adj: np.ndarray | None, loads: np.ndarray, total: float) -> CascadeOutcome:
+    """The cascade on adjacency ``adj`` (None: the complete graph) from
+    ``loads``, which it owns and overwrites: nonnegative float64 loads whose
+    sum ``total`` is finite, as ``_total`` checks."""
+    alive = np.ones(loads.size, dtype=bool)
     failures: list[int] = []
     dropped_total = 0.0
     while True:
-        k, dropped = _stage(g, loads, alive)
+        k, dropped = _stage(adj, loads, alive)
         if k == 0:
             break
         failures.append(k)
@@ -184,15 +192,8 @@ def run_cascade(g: GraphTopology, loads: np.ndarray) -> CascadeOutcome:
     # account for the final load as initial minus dropped (x - 0.0 is x):
     # exact where the float-summed loads would pick up rounding noise, so an
     # all-or-nothing cascade reports f of exactly 1.0 or 0.0
-    total_final = 0.0 if sum(failures) == g.n else total_initial - dropped_total
-    f = total_final / total_initial if total_initial > 0 else 1.0
-    return CascadeOutcome(
-        termination_stage=len(failures),
-        survivor_fraction=f,
-        failures_per_stage=tuple(failures),
-        total_initial_load=total_initial,
-        total_final_load=total_final,
-    )
+    final = 0.0 if sum(failures) == loads.size else total - dropped_total
+    return CascadeOutcome(len(failures), final / total if total > 0 else 1.0, tuple(failures))
 
 
 # --- Monte Carlo ----------------------------------------------------------
@@ -214,15 +215,6 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial]))
 
 
-def run_trial(
-    n: int, p: float, spec: LoadDistributionSpec, d_m: float, rng: np.random.Generator
-) -> CascadeOutcome:
-    """One full realization: fresh graph, fresh loads, one disturbance."""
-    g = generate_er_graph(n, p, rng)
-    loads = apply_disturbance(init_loads(n, spec, rng), d_m, rng)
-    return run_cascade(g, loads)
-
-
 @lru_cache(maxsize=1 << 12)
 def _start_state(master_seed: int, k: int) -> dict:
     """The state ``trial_rng(master_seed, k)`` starts from, shared by every
@@ -240,9 +232,9 @@ def _trials(
 
     One generator of this call's own is reset to each trial's start state,
     so the draws are those of ``trial_rng``. A trial draws its edge weights,
-    loads and shocks once and runs the cascade on each ``p``'s graph: what
-    ``run_trial`` draws does not depend on ``p``, so each outcome is
-    ``run_trial``'s at that ``p``.
+    loads and shocks once and runs the cascade on each ``p``'s graph: what a
+    trial draws does not depend on ``p``, so each outcome is that of
+    ``run_cascade`` on ``generate_er_graph`` at that ``p`` alone.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     rows = []
@@ -257,17 +249,19 @@ def _trial_row(
     rng: np.random.Generator,
 ) -> list[CascadeOutcome]:
     """One trial's outcomes at every edge probability in ``ps``, from one
-    draw of its edge weights, loads and shocks."""
+    draw of its edge weights, loads and shocks, whose total is checked once.
+    The loads are nonnegative: every load spec and every shock is."""
     weights = draw_weights(n, ps, rng)
     loads = apply_disturbance(init_loads(n, spec, rng), d_m, rng)
+    total = _total(loads)
     *head, last = ps
-    row = [run_cascade(threshold_graph(n, p, weights), loads) for p in head]
-    g = threshold_graph(n, last, weights)
-    # free the n * n weights before the last cascade, and the last graph with
-    # this frame before the next trial draws: at a single p a trial holds no
-    # more than run_trial does
+    row = [_cascade(threshold_adjacency(p, weights), loads.copy(), total) for p in head]
+    adj = threshold_adjacency(last, weights)
+    # free the n * n weights before the last cascade, and the last adjacency
+    # with this frame before the next trial draws: at a single p a trial
+    # holds no more than one graph draw does
     del weights
-    row.append(run_cascade(g, loads))
+    row.append(_cascade(adj, loads, total))
     return row
 
 

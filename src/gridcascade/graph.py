@@ -6,15 +6,16 @@ can run over it without copying it. A generated complete graph holds its
 adjacency in O(n) memory, as a strided view over 2n - 1 bytes.
 
 An Erdős–Rényi graph is drawn in two steps: ``draw_weights`` draws one
-uniform per node pair into a symmetric matrix, and ``threshold_graph`` keeps
-the pairs below ``p``. The weights do not depend on ``p``, so graphs at
-several edge probabilities can share one draw; ``generate_er_graph`` is the
-two steps at one ``p``.
+uniform per node pair into a symmetric matrix, and ``threshold_adjacency``
+keeps the pairs below ``p``, or returns None for the complete graph at
+``p == 1``. The weights do not depend on ``p``, so graphs at several edge
+probabilities can share one draw; ``generate_er_graph`` is the two steps at
+one ``p``, wrapped in a ``GraphTopology``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,12 +37,6 @@ class GraphTopology:
     edge_prob: float
     complete: bool = field(default=False, init=False)
 
-    def degree(self) -> np.ndarray:
-        return self.adjacency.sum(axis=0)
-
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
 
 def generate_er_graph(n: int, p: float, rng: np.random.Generator) -> GraphTopology:
     """Draw an Erdős–Rényi graph: each unordered pair is an edge w.p. ``p``.
@@ -51,13 +46,19 @@ def generate_er_graph(n: int, p: float, rng: np.random.Generator) -> GraphTopolo
     PCG64 generator is advanced past them instead of drawing them.
     """
     check_graph_args(n, (p,))
-    return threshold_graph(n, p, draw_weights(n, (p,), rng))
+    adj = threshold_adjacency(p, draw_weights(n, (p,), rng))
+    g = GraphTopology(n=n, adjacency=_complete_adjacency(n) if adj is None else adj, edge_prob=p)
+    object.__setattr__(g, "complete", adj is None)
+    return g
 
 
-def check_graph_args(n: int, ps: Iterable[float]) -> None:
-    """Raise ValueError unless ``n >= 1`` and every ``p`` in ``ps`` is in [0, 1]."""
+def check_graph_args(n: int, ps: Sequence[float]) -> None:
+    """Raise ValueError unless ``n >= 1`` and ``ps`` is a nonempty sequence of
+    edge probabilities in [0, 1]."""
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
+    if not ps:
+        raise ValueError("need at least one edge probability, got none")
     for p in ps:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"edge probability must be in [0, 1], got {p}")
@@ -93,17 +94,14 @@ def draw_weights(
     return w
 
 
-def threshold_graph(n: int, p: float, weights: np.ndarray | None) -> GraphTopology:
-    """The graph of the pairs whose weight is below ``p``, from
-    ``draw_weights``; at ``p == 1`` the complete graph, which reads none."""
+def threshold_adjacency(p: float, weights: np.ndarray | None) -> np.ndarray | None:
+    """The read-only adjacency of the pairs whose weight from ``draw_weights``
+    is below ``p``; None at ``p == 1``, the complete graph, which reads none."""
     if p == 1.0:
-        adj = _complete_adjacency(n)
-    else:
-        adj = weights < p  # the diagonal of 2 leaves no self-loop
-        adj.setflags(write=False)
-    g = GraphTopology(n=n, adjacency=adj, edge_prob=p)
-    object.__setattr__(g, "complete", p == 1.0)
-    return g
+        return None
+    adj = weights < p  # the diagonal of 2 leaves no self-loop
+    adj.setflags(write=False)
+    return adj
 
 
 def _skip_doubles(bit_generator: np.random.PCG64, count: int) -> None:

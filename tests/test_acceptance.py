@@ -139,7 +139,7 @@ def test_criterion_8_property_suite():
             ) if idx.size else True
             before_alive = alive.copy()
             before_sum = loads.sum()
-            failed, _ = cascade._stage(g, loads, alive)
+            failed, _ = cascade._stage(None if g.complete else g.adjacency, loads, alive)
             if failed == 0:
                 break
             stages += 1

@@ -17,7 +17,6 @@ from gridcascade import (
     init_loads,
     monte_carlo,
     run_cascade,
-    run_trial,
     trial_rng,
     validate_redistribution_limit,
 )
@@ -27,6 +26,19 @@ from gridcascade.graph import GraphTopology
 
 def k3():
     return generate_er_graph(3, 1.0, np.random.default_rng(0))
+
+
+def kernel_adj(g):
+    """The adjacency ``cascade._stage`` steps ``g`` on: None for a complete graph."""
+    return None if g.complete else g.adjacency
+
+
+def run_trial(n, p, spec, d_m, rng):
+    """The reference definition of one trial: a fresh graph, fresh loads and
+    one disturbance, all drawn from ``rng``, then the cascade."""
+    g = generate_er_graph(n, p, rng)
+    loads = apply_disturbance(init_loads(n, spec, rng), d_m, rng)
+    return run_cascade(g, loads)
 
 
 # --- initial loads --------------------------------------------------------
@@ -104,23 +116,23 @@ def test_disturbance_rejects_nonpositive_mean():
 
 def test_single_failure_splits_load_equally():
     g, loads, alive = k3(), np.array([1.2, 0.3, 0.2]), np.ones(3, dtype=bool)
-    assert cascade._stage(g, loads, alive)[0] == 1
+    assert cascade._stage(kernel_adj(g), loads, alive)[0] == 1
     assert np.allclose(loads, [0.0, 0.9, 0.8])
-    assert cascade._stage(g, loads, alive)[0] == 0
+    assert cascade._stage(kernel_adj(g), loads, alive)[0] == 0
 
 
 def test_simultaneous_failures_do_not_transfer_to_each_other():
     g, loads, alive = k3(), np.array([1.2, 0.5, 0.6]), np.ones(3, dtype=bool)
-    assert cascade._stage(g, loads, alive)[0] == 1
+    assert cascade._stage(kernel_adj(g), loads, alive)[0] == 1
     assert np.allclose(loads, [0.0, 1.1, 1.2])
     # nodes 1 and 2 fail together with no alive neighbor left: loads dropped
-    assert cascade._stage(g, loads, alive)[0] == 2
+    assert cascade._stage(kernel_adj(g), loads, alive)[0] == 2
     assert np.allclose(loads, 0.0)
 
 
 def test_stable_state_is_unchanged():
     loads, alive = np.array([0.4, 0.5, 0.6]), np.ones(3, dtype=bool)
-    assert cascade._stage(k3(), loads, alive) == (0, 0.0)
+    assert cascade._stage(kernel_adj(k3()), loads, alive) == (0, 0.0)
     assert loads.tolist() == [0.4, 0.5, 0.6] and alive.all()
 
 
@@ -149,7 +161,7 @@ def test_hand_built_incomplete_graph_never_takes_the_shift_path():
     adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
     g = GraphTopology(3, adj, 1.0)
     loads, alive = np.array([1.2, 0.3, 0.2]), np.ones(3, dtype=bool)
-    assert cascade._stage(g, loads, alive)[0] == 1
+    assert cascade._stage(kernel_adj(g), loads, alive)[0] == 1
     assert np.allclose(loads, [0.0, 1.5, 0.2])
     assert run_cascade(g, np.array([1.2, 0.3, 0.2])).failures_per_stage == (1, 1, 1)
 
@@ -196,7 +208,8 @@ def test_isolated_failing_node_drops_load():
     g = generate_er_graph(2, 0.0, np.random.default_rng(0))
     out = run_cascade(g, np.array([1.5, 0.5]))
     assert out.survivor_fraction == pytest.approx(0.25)
-    assert out.total_final_load == pytest.approx(0.5)
+    # the final load, f times the initial 2.0, is node 1's 0.5
+    assert out.survivor_fraction * 2.0 == pytest.approx(0.5)
 
 
 def test_orphan_drops_its_load_while_a_neighbor_of_the_same_stage_shares():
@@ -211,15 +224,15 @@ def test_orphan_drops_its_load_while_a_neighbor_of_the_same_stage_shares():
     g = GraphTopology(5, adj, 0.5)
     loads = np.array([0.25, 0.25, 0.25, 0.5, 1.5])
     staged, alive = loads.copy(), np.ones(5, dtype=bool)
-    assert cascade._stage(g, staged, alive) == (1, 0.0)
+    assert cascade._stage(kernel_adj(g), staged, alive) == (1, 0.0)
     assert staged.tolist() == [1.0, 0.25, 0.25, 1.25, 0.0]
-    assert cascade._stage(g, staged, alive) == (2, 1.25)
+    assert cascade._stage(kernel_adj(g), staged, alive) == (2, 1.25)
     assert staged.tolist() == [0.0, 0.75, 0.75, 0.0, 0.0]
     assert alive.tolist() == [False, True, True, False, False]
+    assert loads.sum() == 2.75
+    assert staged.sum() == 2.75 - 1.25
     out = run_cascade(g, loads)
     assert out.failures_per_stage == (1, 2)
-    assert out.total_initial_load == 2.75
-    assert out.total_final_load == 2.75 - 1.25
     assert out.survivor_fraction == 1.5 / 2.75
 
 
@@ -272,7 +285,7 @@ def test_stage_matches_the_reference_formulation_byte_for_byte():
     for g, loads, alive in stage_cases(np.random.default_rng(13)):
         got_loads, got_alive = loads.copy(), alive.copy()
         ref_loads, ref_alive = loads.copy(), alive.copy()
-        got = cascade._stage(g, got_loads, got_alive)
+        got = cascade._stage(kernel_adj(g), got_loads, got_alive)
         ref = reference_stage(g, ref_loads, ref_alive)
         assert repr(got) == repr(ref)
         assert got_loads.tobytes() == ref_loads.tobytes()
@@ -284,10 +297,11 @@ def test_stage_matches_the_reference_formulation_byte_for_byte():
     assert min(seen.values()) >= 10, seen
 
 
-# sha256 of the repr of every CascadeOutcome field of 60 trials (uniform
-# loads, d_m 0.1, master seed 42) per (n, p), recorded from the stage kernel
-# that gathered its block with np.ix_. The stage matvec's summation order
-# shows in the last digits at n=50, p=0.1, so any reordering fails there.
+# sha256 of the repr of every CascadeOutcome field, then the initial and
+# final load totals, of 60 trials (uniform loads, d_m 0.1, master seed 42)
+# per (n, p), recorded from the stage kernel that gathered its block with
+# np.ix_. The stage matvec's summation order shows in the last digits at
+# n=50, p=0.1, so any reordering fails there.
 STAGE_GOLDEN = {
     (10, 0.1): "8fb50f51d53343e9d6d6a8ea4b0137a6831c87a03575ff094cbfa802f29e8f1f",
     (10, 0.3): "11ca1cc22439093632240a0a2cceac3db9a60ec3bb1fa29b2e61f6b6057c6652",
@@ -301,12 +315,28 @@ STAGE_GOLDEN = {
 }
 
 
+def stepped_trial(n, p, rng):
+    """``run_trial``'s outcome fields with the initial and final load totals,
+    stepping the cascade stage by stage and summing the dropped load."""
+    g = generate_er_graph(n, p, rng)
+    loads = apply_disturbance(init_loads(n, UniformLoads(), rng), 0.1, rng)
+    total, dropped = float(np.add.reduce(loads)), 0.0
+    alive, failures = np.ones(n, dtype=bool), []
+    while (step := cascade._stage(kernel_adj(g), loads, alive))[0]:
+        failures.append(step[0])
+        dropped += step[1]
+    final = 0.0 if sum(failures) == n else total - dropped
+    return len(failures), final / total if total > 0 else 1.0, tuple(failures), total, final
+
+
 @pytest.mark.parametrize("n,p", sorted(STAGE_GOLDEN))
 def test_stage_kernel_matches_golden_digest(n, p):
     h = hashlib.sha256()
     for k in range(60):
+        fields = stepped_trial(n, p, trial_rng(42, k))
         out = run_trial(n, p, UniformLoads(), 0.1, trial_rng(42, k))
-        h.update(repr(dataclasses.astuple(out)).encode())
+        assert dataclasses.astuple(out) == fields[:3]
+        h.update(repr(fields).encode())
     assert h.hexdigest() == STAGE_GOLDEN[n, p]
 
 
@@ -356,15 +386,15 @@ def test_monte_carlo_trial_k_is_run_trial_on_trial_rng_k(workers):
 
 
 def test_monte_carlo_after_a_trial_raised_partway(monkeypatch):
-    calls = []
+    calls, cascade_loop = [], cascade._cascade
 
-    def fail_on_third(g, loads):
+    def fail_on_third(adj, loads, total):
         calls.append(None)  # the graph and the loads are drawn by now
         if len(calls) == 3:
             raise RuntimeError("stop")
-        return run_cascade(g, loads)
+        return cascade_loop(adj, loads, total)
 
-    monkeypatch.setattr(cascade, "run_cascade", fail_on_third)
+    monkeypatch.setattr(cascade, "_cascade", fail_on_third)
     with pytest.raises(RuntimeError, match="stop"):
         monte_carlo(20, 0.3, UniformLoads(), 0.1, 25, 5)
     monkeypatch.undo()
@@ -435,7 +465,7 @@ def test_grid_entry_j_is_the_scalar_call_at_p_j(workers, spec, ps):
 
 
 @pytest.mark.parametrize("ps", [
-    (0.5, 1.5), (-0.1, 0.5), (0.2, math.nan, 1.0), (0.5, 1.0, math.inf)])
+    (0.5, 1.5), (-0.1, 0.5), (0.2, math.nan, 1.0), (0.5, 1.0, math.inf), []])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_grid_rejects_any_bad_edge_prob_before_any_trial(monkeypatch, workers, ps):
     def no_trials(*args, **kwargs):
@@ -445,6 +475,20 @@ def test_grid_rejects_any_bad_edge_prob_before_any_trial(monkeypatch, workers, p
     monkeypatch.setattr(cascade, "ProcessPoolExecutor", no_trials)
     with pytest.raises(ValueError, match="edge probability"):
         monte_carlo(10, ps, UniformLoads(), 0.1, 20, 1, workers=workers)
+
+
+# shocked loads that only the per-trial check of the draw guards: one shock
+# overflows to inf, or every load is finite and their total is not
+@pytest.mark.parametrize("n,d_m,p,match", [
+    (20, 1e308, 0.5, "loads must be finite"),
+    (20, 1e308, (0.5, 1.0), "loads must be finite"),
+    (1000, 1e306, 0.0, "total load must be finite"),
+    (1000, 1e306, (0.0, 1.0), "total load must be finite"),
+])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_rejects_shocked_loads_that_are_not_finite(workers, n, d_m, p, match):
+    with pytest.raises(ValueError, match=match):
+        monte_carlo(n, p, UniformLoads(), d_m, 3, 0, workers=workers)
 
 
 def test_single_p_trials_peak_like_one_draw():
