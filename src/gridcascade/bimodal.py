@@ -15,7 +15,9 @@ Once the upper mode dies, b_n is clamped to 1 and stays there.
 does, and appends each stage row to a list when given one. A row extends
 the unimodal one to ``(n, a_n, p_n, D_n, mu_prev, b_n, branch, p_tilde)``;
 ``run_bimodal`` returns one ``BimodalState`` per row, the row's fields
-followed by the verdict.
+followed by the verdict. Without a list it stops a surviving run early on
+the same proven bound (``meanfield._survival_proven``), which also shows
+that the floors stay in BOTH_ALIVE or LOWER_ONLY to the end.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .meanfield import (
     SURVIVES,
     UNDETERMINED,
     Verdict,
+    _survival_proven,
     check_budget,
     failure_probability,
     first_stage,
@@ -84,7 +87,8 @@ def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int =
     formulas and its carried e = expm1(D/d_m), written inline as in
     ``recursion_verdict``, and differ only in the failing mass q of the
     shifted floors. UPPER_DIES computes no e for its D, so the stage after
-    it takes mu from ``mean_failed_load``."""
+    it takes mu from ``mean_failed_load``. Without ``rows`` a small p is
+    tested for proven survival, as in ``recursion_verdict``."""
     verdict, row, e = _init(a0, b0, pa, d_m)
     check_budget(max_iter, tol)
     if rows is not None:
@@ -94,9 +98,12 @@ def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int =
     pb = 1.0 - pa
     n, a, p, D, mu, b, branch, p_tilde = row
     exp, expm1, nan = math.exp, math.expm1, math.nan
+    cut = tol if rows is not None else max(1e-3, tol)
     for _ in range(max_iter):
-        if p < tol:
-            return SURVIVES
+        if p < cut:
+            if p < tol or _survival_proven(a, b, pa, p, D, d_m, tol, max_iter - n + 1):
+                return SURVIVES
+            cut = max(p / 16.0, tol)
         try:
             if D < (1.0 - b) and b < 1.0:
                 branch_next, b_next = BOTH_ALIVE, b + D

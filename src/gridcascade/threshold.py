@@ -38,7 +38,8 @@ def model_verdict(
     model: MeanFieldModel, d_m: float, max_iter: int = 10_000, tol: float = 1e-12
 ) -> Verdict:
     """Mean-field verdict for one disturbance level, from the recursion's
-    scalar loop alone (no stage row is kept)."""
+    scalar loop alone (no stage row is kept), which stops a surviving run
+    as soon as a tail bound proves that it survives."""
     if isinstance(model, DeltaLoads):
         return recursion_verdict(model.a0, d_m, max_iter, tol)
     return bimodal_verdict(model.a0, model.b0, model.pa, d_m, max_iter, tol)

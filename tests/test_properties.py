@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import importlib
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -267,12 +269,22 @@ def test_mu_prev_is_the_mean_failed_load_of_the_previous_shift():
 EXTREME_GOLDEN = "346bd9a682b3386872c299e4142af397bd53187d988a09aaeb42d1aad68d443c"
 
 
-def _outcome(loop, *args):
-    rows = []
+def _call(loop, *args, rows=None):
+    """The loop's verdict, or (exception type, message) if it raises."""
     try:
-        return repr((loop(*args, rows=rows), rows))
+        return loop(*args, rows=rows)
     except Exception as exc:
-        return repr((type(exc).__name__, str(exc)))
+        return (type(exc).__name__, str(exc))
+
+
+def _outcome(loop, *args):
+    """repr of the traced call's (verdict, rows), or of its exception, after
+    checking that the verdict-only call, which may stop a surviving run
+    early on a proven bound, ends the same way."""
+    rows = []
+    traced = _call(loop, *args, rows=rows)
+    assert _call(loop, *args) == traced, (loop.__name__, args)
+    return repr(traced if isinstance(traced, tuple) else (traced, rows))
 
 
 def test_recursions_on_extreme_inputs_match_golden_digest():
@@ -286,6 +298,70 @@ def test_recursions_on_extreme_inputs_match_golden_digest():
                     for pa in (0.0, 0.25, 1.0):
                         h.update(_outcome(bimodal_verdict, a0, b0, pa, d_m, max_iter, tol).encode())
     assert h.hexdigest() == EXTREME_GOLDEN
+
+
+def _loop(args):
+    """recursion_verdict for (a0, d_m), bimodal_verdict for (a0, b0, pa, d_m)."""
+    return recursion_verdict if len(args) == 2 else bimodal_verdict
+
+
+@pytest.mark.parametrize("mode", [(0.8,), (0.5, 0.9, 0.25), (0.4, 0.9, 0.8)])
+def test_verdict_only_calls_match_traced_calls_next_to_the_threshold(mode):
+    """Right at the threshold a surviving run decays slowest, where the
+    survival bound is tightest; on both sides of d_low the verdict-only
+    call must end as the traced call does."""
+    model = DeltaLoads(*mode) if len(mode) == 1 else BimodalLoads(*mode)
+    d_low = threshold.find_d_critical(model).d_low
+    for k in range(1, 10):
+        for d in (d_low * (1.0 - 10.0 ** -k), d_low, d_low * (1.0 + 10.0 ** -k)):
+            args = (*mode, d)
+            assert _loop(args)(*args) is _loop(args)(*args, rows=[]), args
+
+
+@pytest.mark.parametrize("args", [
+    (0.8, 0.04925), (0.8, 0.03), (0.4, 0.9, 0.8, 0.03), (0.5, 0.9, 0.25, 0.0219375)])
+def test_verdict_only_survival_needs_the_traced_stage_budget(args):
+    """A traced survivor of N rows needs max_iter >= N: a proven survival
+    must still fit the budget the full loop would use, at every budget."""
+    rows = []
+    assert _loop(args)(*args, rows=rows) is SURVIVES
+    n = len(rows)
+    verdicts = [_loop(args)(*args, max_iter) for max_iter in range(1, n + 2)]
+    assert verdicts == [UNDETERMINED] * (n - 1) + [SURVIVES] * 2
+
+
+@pytest.mark.parametrize("args", [(0.8, 0.04958), (0.3, 0.97, 0.55, 0.00575)])
+def test_survival_bound_rejects_a_run_that_grows_again(args):
+    """p dips below 1e-3 and then grows to an outage: unimodal just above
+    the threshold, and two-mode while the upper floor still climbs from
+    0.97 to capacity. A bound that let the ratio of successive p reach 1,
+    or watched only the lower floor, would call either a survival."""
+    assert _loop(args)(*args) is _loop(args)(*args, rows=[]) is OUTAGE
+
+
+def _expm1_calls(fn, *args, **kwargs) -> int:
+    """math.expm1 calls made by fn(*args, **kwargs): one per recursion stage."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and arg is math.expm1:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("args", [(0.8, 0.04925), (0.5, 0.9, 0.25, 0.0219375)])
+def test_verdict_only_survivor_stops_early(args):
+    """The threshold search's probes stop a surviving run once the bound
+    proves it; a traced run computes every stage."""
+    full = _expm1_calls(_loop(args), *args, rows=[])
+    assert 2 * _expm1_calls(_loop(args), *args) <= full
 
 
 def test_every_exported_name_resolves():
