@@ -2,7 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .bimodal import BimodalState, Branch, run_bimodal
 from .cascade import (
     AggregateStats,
     BimodalLoads,
@@ -18,7 +17,14 @@ from .cascade import (
     validate_redistribution_limit,
 )
 from .graph import GraphTopology, generate_er_graph
-from .meanfield import MeanFieldState, Verdict, run_recursion
+from .meanfield import (
+    BimodalState,
+    Branch,
+    MeanFieldState,
+    Verdict,
+    run_bimodal,
+    run_recursion,
+)
 from .threshold import (
     FixedMeanSweepRow,
     NonMonotoneError,

@@ -42,6 +42,7 @@ from .graph import (  # noqa: F401
     generate_er_graph,
     threshold_adjacency,
 )
+from .meanfield import check_disturbance, check_modes
 
 # the ufunc reduction behind ndarray.sum, without the method wrapper
 _sum = np.add.reduce
@@ -56,8 +57,7 @@ class DeltaLoads:
     a0: float
 
     def __post_init__(self):
-        if not 0.0 < self.a0 < 1.0:
-            raise ValueError(f"a0 must be in (0, 1), got {self.a0}")
+        check_modes(self.a0, self.a0, 1.0)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(n, self.a0)
@@ -80,14 +80,7 @@ class BimodalLoads:
     pa: float
 
     def __post_init__(self):
-        if not 0.0 < self.a0 < 1.0:
-            raise ValueError(f"a0 must be in (0, 1), got {self.a0}")
-        if not 0.0 < self.b0 < 1.0:
-            raise ValueError(f"b0 must be in (0, 1), got {self.b0}")
-        if self.a0 > self.b0:
-            raise ValueError(f"need a0 <= b0, got a0={self.a0}, b0={self.b0}")
-        if not 0.0 <= self.pa <= 1.0:
-            raise ValueError(f"pa must be in [0, 1], got {self.pa}")
+        check_modes(self.a0, self.b0, self.pa)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.where(rng.random(n) < self.pa, self.a0, self.b0)
@@ -105,8 +98,7 @@ def init_loads(n: int, spec: LoadDistributionSpec, rng: np.random.Generator) -> 
 
 def apply_disturbance(loads: np.ndarray, d_m: float, rng: np.random.Generator) -> np.ndarray:
     """Add independent Exponential(mean d_m) shocks to every node."""
-    if not (math.isfinite(d_m) and d_m > 0):
-        raise ValueError(f"disturbance mean must be finite and > 0, got {d_m}")
+    check_disturbance(d_m)
     _total(loads)  # raises unless the loads and their total are finite
     return loads + rng.exponential(d_m, size=loads.shape)
 
@@ -282,6 +274,9 @@ def monte_carlo(
     grid = np.ndim(p) > 0
     ps = tuple(p) if grid else (p,)
     check_graph_args(n, ps)
+    check_disturbance(d_m)
+    if not isinstance(spec, LoadDistributionSpec):
+        raise TypeError(f"spec must be a load distribution spec, got {spec!r}")
     run, ks = partial(_trials, n, ps, spec, d_m, master_seed), range(trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

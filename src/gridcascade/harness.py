@@ -37,14 +37,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bimodal import run_bimodal
 from .cascade import (
     BimodalLoads,
     DeltaLoads,
     UniformLoads,
     monte_carlo,
 )
-from .meanfield import run_recursion
+from .meanfield import run_bimodal, run_recursion
 from .threshold import (
     find_d_critical,
     sweep_bimodal_fixed_mean,

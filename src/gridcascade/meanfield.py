@@ -1,28 +1,44 @@
-"""Scalar recursion for the infinite fully connected network, constant loads.
+"""Scalar recursions for the infinite fully connected network, with one load
+mode and with two.
 
-With every node starting at load a0 and one Exponential(d_m) shock, the
-surviving-load distribution stays a truncated shifted exponential at every
-stage, so the whole system is captured by four scalars per stage:
+A fraction ``pa`` of the nodes starts at load a0 and the rest at b0 >= a0
+(one mode: b0 = a0, pa = 1); each node then takes one Exponential(d_m)
+shock. The surviving-load distribution stays a truncated shifted
+exponential per mode at every stage, so the whole system is captured by a
+few scalars per stage:
 
-    a_n   effective load floor (initial load plus all inherited shares)
+    a_n   lower load floor (initial load plus all inherited shares)
     p_n   probability an alive node fails this stage
     D_n   redistributed load added to every survivor
     mu    mean load of the nodes that just failed
+    b_n   upper load floor, clamped to 1 once the upper mode has died
 
-The cascade dies out when p_n -> 0 (floor stays below capacity) and ends
-in a complete outage when the floor is pushed to capacity 1.
+The cascade dies out when p_n -> 0 (floors stay below capacity) and ends in
+a complete outage when the remaining mass is pushed to capacity 1. Both
+floors drift up by D_n until the upper mode hits capacity, after which the
+two-mode recursion is the one-mode form on the lower floor. It takes one of
+three branches per stage:
 
-``recursion_verdict`` iterates these scalars in one loop, keeping them in
-locals, and returns the verdict. Given a list, it also appends each stage
-as a plain row ``(n, a_n, p_n, D_n, mu_prev)``, mu_prev being the mu that
-produced D_n. ``run_recursion`` passes one and returns its rows as a trace:
-one ``MeanFieldState`` per row, the row's fields followed by the verdict.
+    BOTH_ALIVE    both modes still below capacity after the shift
+    UPPER_DIES    the shift kills the b-mode exactly this stage
+    LOWER_ONLY    only the a-mode remains
 
-Without a list (the threshold search's probes) the loop may stop a
-surviving run early: once p_n is small, ``_survival_proven`` bounds every
-later stage, and when the bound shows p_n falling below ``tol`` within the
-stage budget with the floor below capacity, the loop returns SURVIVES, the
-verdict the remaining stages would reach. A traced run computes every stage.
+``recursion_verdict`` (one mode) and ``bimodal_verdict`` (two) each iterate
+these scalars in one loop, keeping them in locals, and return the verdict.
+Both start from ``_init``, which checks the inputs and computes stage 1.
+Given a list, a loop also appends each stage as a plain row
+``(n, a_n, p_n, D_n, mu_prev)``, mu_prev being the mu that produced D_n;
+a two-mode row goes on with ``(b_n, branch, p_tilde)``, p_tilde being the
+failing mass of an UPPER_DIES stage (else nan). ``run_recursion`` and
+``run_bimodal`` pass one and return its rows as a trace: one state per row,
+the row's fields followed by the verdict.
+
+Without a list (the threshold search's probes) a loop may stop a surviving
+run early: once p_n is small, ``_survival_proven`` bounds every later
+stage, and when the bound shows p_n falling below ``tol`` within the stage
+budget with the floors below capacity (so in BOTH_ALIVE or LOWER_ONLY to
+the end), the loop returns SURVIVES, the verdict the remaining stages would
+reach. A traced run computes every stage.
 """
 
 from __future__ import annotations
@@ -39,8 +55,16 @@ class Verdict(str, enum.Enum):
     UNDETERMINED = "undetermined"
 
 
+class Branch(str, enum.Enum):
+    INIT = "init"
+    BOTH_ALIVE = "both_alive"
+    UPPER_DIES = "upper_dies"
+    LOWER_ONLY = "lower_only"
+
+
 # bound once: looking an enum member up on its class is slow on Python 3.11
 RUNNING, SURVIVES, COMPLETE_OUTAGE, UNDETERMINED = Verdict
+INIT, BOTH_ALIVE, UPPER_DIES, LOWER_ONLY = Branch
 
 
 @dataclass(frozen=True)
@@ -55,9 +79,37 @@ class MeanFieldState:
     verdict: Verdict = Verdict.RUNNING
 
 
-def failure_probability(a0: float, d_m: float) -> float:
-    """P(a0 + Exponential(d_m) >= 1) = exp(-(1-a0)/d_m)."""
-    return math.exp(-(1.0 - a0) / d_m)
+@dataclass(frozen=True)
+class BimodalState:
+    """One stage of the two-mode recursion: its row, then the verdict."""
+
+    n: int
+    a_n: float
+    p_n: float
+    D_n: float
+    mu_prev: float
+    b_n: float
+    branch: Branch
+    p_tilde: float  # intermediate failing mass of the UPPER_DIES branch, else nan
+    verdict: Verdict = Verdict.RUNNING
+
+
+def check_modes(a0: float, b0: float, pa: float) -> None:
+    """Reject a load model outside 0 < a0 <= b0 < 1, 0 <= pa <= 1."""
+    if not 0.0 < a0 < 1.0:
+        raise ValueError(f"a0 must be in (0, 1), got {a0}")
+    if not 0.0 < b0 < 1.0:
+        raise ValueError(f"b0 must be in (0, 1), got {b0}")
+    if a0 > b0:
+        raise ValueError(f"need a0 <= b0, got a0={a0}, b0={b0}")
+    if not 0.0 <= pa <= 1.0:
+        raise ValueError(f"pa must be in [0, 1], got {pa}")
+
+
+def check_disturbance(d_m: float) -> None:
+    """Reject a disturbance mean that is not finite and > 0."""
+    if not 0.0 < d_m < math.inf:
+        raise ValueError(f"disturbance mean must be finite and > 0, got {d_m}")
 
 
 def mean_failed_load(D: float, d_m: float) -> float:
@@ -71,34 +123,10 @@ def mean_failed_load(D: float, d_m: float) -> float:
     return 1.0 + d_m - D / denom
 
 
-def check_budget(max_iter: int, tol: float) -> None:
-    """Reject a stage budget or survival tolerance no loop can run with."""
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-
-
 def trace(cls, verdict: Verdict, rows: list) -> list:
     """One ``cls`` state per stage row: the row's fields, then the verdict,
     ``verdict`` on the last state and RUNNING before it."""
     return [cls(*row) for row in rows[:-1]] + [cls(*rows[-1], verdict)]
-
-
-def first_stage(p0: float, d_m: float):
-    """Verdict, p1, D1 and e1 = expm1(D1/d_m) from the stage-0 failure
-    probability p0: D1 = p0/(1-p0) * (1+d_m) and p1 = p0/(1-p0) * e1.
-    expm1 overflows for blackout-scale D1, an outage."""
-    if p0 >= 1.0:
-        return COMPLETE_OUTAGE, 1.0, 0.0, math.nan
-    odds = p0 / (1.0 - p0)
-    D1 = odds * (1.0 + d_m)
-    try:
-        e1 = math.expm1(D1 / d_m)
-    except OverflowError:
-        return COMPLETE_OUTAGE, 1.0, D1, math.inf
-    p1 = odds * e1
-    return (COMPLETE_OUTAGE if p1 >= 1.0 else RUNNING), p1, D1, e1
 
 
 def _survival_proven(a: float, b: float, pa: float, p: float, D: float, d_m: float,
@@ -144,13 +172,33 @@ def _survival_proven(a: float, b: float, pa: float, p: float, D: float, d_m: flo
         return False
 
 
-def _init(a0: float, d_m: float):
-    if not 0.0 < a0 < 1.0:
-        raise ValueError(f"a0 must be in (0, 1), got {a0}")
-    if not 0.0 < d_m < math.inf:
-        raise ValueError(f"disturbance mean must be finite and > 0, got {d_m}")
-    verdict, p1, D1, e1 = first_stage(failure_probability(a0, d_m), d_m)
-    return verdict, (1, a0, p1, D1, 1.0 + d_m), e1
+def _init(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float):
+    """Check a run's inputs (the model, then d_m, then the stage budget)
+    and take its first stage: the verdict, the row-1 scalars
+    ``(1, a0, p1, D1, 1 + d_m)`` and e1 = expm1(D1/d_m). From the stage-0
+    failure probability p0 = pa*q(a0) + (1-pa)*q(b0), q(x) =
+    exp(-(1-x)/d_m), D1 = p0/(1-p0) * (1+d_m) and p1 = p0/(1-p0) * e1.
+    expm1 overflows for blackout-scale D1, an outage."""
+    check_modes(a0, b0, pa)
+    check_disturbance(d_m)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    mu = 1.0 + d_m
+    p0 = math.exp(-(1.0 - a0) / d_m)
+    if pa < 1.0:  # at pa = 1 the sum is 1.0*q(a0) + 0.0*q(b0) = q(a0) exactly
+        p0 = pa * p0 + (1.0 - pa) * math.exp(-(1.0 - b0) / d_m)
+    if p0 >= 1.0:
+        return COMPLETE_OUTAGE, (1, a0, 1.0, 0.0, mu), math.nan
+    odds = p0 / (1.0 - p0)
+    D1 = odds * mu
+    try:
+        e1 = math.expm1(D1 / d_m)
+    except OverflowError:
+        return COMPLETE_OUTAGE, (1, a0, 1.0, D1, mu), math.inf
+    p1 = odds * e1
+    return (COMPLETE_OUTAGE if p1 >= 1.0 else RUNNING), (1, a0, p1, D1, mu), e1
 
 
 def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float = 1e-12,
@@ -158,8 +206,8 @@ def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float 
     """The verdict of ``run_recursion``; each stage row goes to ``rows``
     when a list is given. The stage formulas are written inline (the loop
     runs for every probe of the threshold search), one expm1 per stage:
-    e = expm1(D/d_m) gives p = q/(1-q) * e, q the ``failure_probability``
-    of the shifted floor, and the next stage's mu = 1 + d_m - D/e is
+    e = expm1(D/d_m) gives p = q/(1-q) * e, q = exp(-(1-a)/d_m) the failing
+    mass of the shifted floor, and the next stage's mu = 1 + d_m - D/e is
     ``mean_failed_load`` without its guards (p >= tol > 0 makes e > 0, and
     an infinite e gives D/e = 0).
 
@@ -167,8 +215,7 @@ def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float 
     sixteenth of the last p tested) asks ``_survival_proven`` whether the
     rest of the run must survive within ``max_iter``, and returns SURVIVES
     at once when it must. With ``rows`` the cut is ``tol``: every stage runs."""
-    verdict, row, e = _init(a0, d_m)
-    check_budget(max_iter, tol)
+    verdict, row, e = _init(a0, a0, 1.0, d_m, max_iter, tol)
     if rows is not None:
         rows.append(row)
     if verdict is not RUNNING:
@@ -218,3 +265,95 @@ def run_recursion(
     rows: list = []
     verdict = recursion_verdict(a0, d_m, max_iter, tol, rows)
     return verdict, trace(MeanFieldState, verdict, rows)
+
+
+def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int = 10_000,
+                    tol: float = 1e-12, rows: list | None = None) -> Verdict:
+    """The verdict of ``run_bimodal``; each stage row goes to ``rows`` when
+    a list is given. BOTH_ALIVE and LOWER_ONLY share the unimodal stage
+    formulas and its carried e = expm1(D/d_m), written inline as in
+    ``recursion_verdict``, and differ only in the failing mass q of the
+    shifted floors. UPPER_DIES computes no e for its D, so the stage after
+    it takes mu from ``mean_failed_load``. Without ``rows`` a small p is
+    tested for proven survival, as in ``recursion_verdict``."""
+    verdict, row, e = _init(a0, b0, pa, d_m, max_iter, tol)
+    if rows is not None:
+        rows.append(row + (b0, INIT, math.nan))
+    if verdict is not RUNNING:
+        return verdict
+    pb = 1.0 - pa
+    exp, expm1, nan = math.exp, math.expm1, math.nan
+    n, a, p, D, mu = row
+    b, branch, p_tilde = b0, INIT, nan
+    cut = tol if rows is not None else max(1e-3, tol)
+    for _ in range(max_iter):
+        if p < cut:
+            if p < tol or _survival_proven(a, b, pa, p, D, d_m, tol, max_iter - n + 1):
+                return SURVIVES
+            cut = max(p / 16.0, tol)
+        try:
+            if D < (1.0 - b) and b < 1.0:
+                branch_next, b_next = BOTH_ALIVE, b + D
+            elif (1.0 - a) > D >= (1.0 - b) and b < 1.0:
+                branch_next, b_next = UPPER_DIES, 1.0
+            elif D < (1.0 - a) and b == 1.0:  # a < 1 here, as in the unimodal loop
+                branch_next, b_next = LOWER_ONLY, b
+            else:
+                branch_next = None  # remaining mass pushed past capacity
+            a_next = a + D
+            if branch_next is UPPER_DIES:
+                if pa == 0.0:
+                    # no lower mode: killing the upper mode kills everyone
+                    if rows is not None:
+                        rows.append((n + 1, a, p, D, mu, 1.0, UPPER_DIES, p_tilde))
+                    return COMPLETE_OUTAGE
+                qa, qa_next, qb = (
+                    exp(-(1.0 - a) / d_m), exp(-(1.0 - a_next) / d_m), exp(-(1.0 - b) / d_m))
+                # failing mass this stage: the slice of the a-mode crossing
+                # capacity plus the entire remaining b-mode
+                p_tilde_next = pa * (exp(-(1.0 - a - D) / d_m) - qa) + pb * (1.0 - qb)
+                num = (
+                    pa * qa_next * (1.0 + d_m - (1.0 + D + d_m) * exp(-D / d_m))
+                    + pb * (b + D + d_m - (1.0 + D + d_m) * qb)
+                )
+                mu_next = num / p_tilde_next if p_tilde_next > 0 else 1.0 + d_m
+                D_next = p / (1.0 - p) * mu_next
+                p_next = 1.0 - pa * (1.0 - qa_next) / (1.0 - (pa * qa + pb))
+            elif branch_next is not None:
+                p_tilde_next = nan
+                mu_next = mean_failed_load(D, d_m) if branch is UPPER_DIES else 1.0 + d_m - D / e
+                D_next = p / (1.0 - p) * mu_next
+                q = exp(-(1.0 - a_next) / d_m)
+                if branch_next is BOTH_ALIVE:
+                    # b + D rounds to at most 1 when D < 1 - b: no clamp
+                    q = pa * q + pb * exp(-(1.0 - b_next) / d_m)
+                e = expm1(D_next / d_m)
+                p_next = q / (1.0 - q) * e
+        except (OverflowError, ZeroDivisionError):
+            branch_next = None
+        n += 1
+        if branch_next is None:
+            if rows is not None:
+                rows.append((n, a, p, D, mu, b, branch, p_tilde))  # renumbered
+            return COMPLETE_OUTAGE
+        a, p, D, mu, b, branch, p_tilde = (
+            a_next, p_next, D_next, mu_next, b_next, branch_next, p_tilde_next)
+        if rows is not None:
+            rows.append((n, a, p, D, mu, b, branch, p_tilde))
+        if not 0.0 <= p < 1.0 or a >= 1.0:
+            return COMPLETE_OUTAGE
+    return UNDETERMINED
+
+
+def run_bimodal(
+    a0: float,
+    b0: float,
+    pa: float,
+    d_m: float,
+    max_iter: int = 10_000,
+    tol: float = 1e-12,
+) -> tuple[Verdict, list[BimodalState]]:
+    """Iterate the two-mode recursion to a verdict, as in the unimodal case."""
+    rows: list = []
+    verdict = bimodal_verdict(a0, b0, pa, d_m, max_iter, tol, rows)
+    return verdict, trace(BimodalState, verdict, rows)

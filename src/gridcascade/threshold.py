@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# run_bimodal and run_recursion: unused, but perfbench/tracing.py wraps them here
-from .bimodal import bimodal_verdict, run_bimodal  # noqa: F401
 from .cascade import BimodalLoads, DeltaLoads
-from .meanfield import Verdict, recursion_verdict, run_recursion  # noqa: F401
+from .meanfield import Verdict, bimodal_verdict, recursion_verdict
+
+# unused, but perfbench/tracing.py wraps them here
+from .meanfield import run_bimodal, run_recursion  # noqa: F401
 
 MeanFieldModel = DeltaLoads | BimodalLoads
 

@@ -477,6 +477,24 @@ def test_grid_rejects_any_bad_edge_prob_before_any_trial(monkeypatch, workers, p
         monte_carlo(10, ps, UniformLoads(), 0.1, 20, 1, workers=workers)
 
 
+@pytest.mark.parametrize("d_m,spec,error,match", [
+    (-1.0, UniformLoads(), ValueError, "disturbance mean"),
+    (0.0, UniformLoads(), ValueError, "disturbance mean"),
+    (math.nan, UniformLoads(), ValueError, "disturbance mean"),
+    (0.1, "uniform", TypeError, "load distribution spec"),
+])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_rejects_a_bad_disturbance_or_spec_before_any_trial(
+        monkeypatch, workers, d_m, spec, error, match):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial or a pool started before d_m and spec were checked")
+
+    monkeypatch.setattr(cascade, "_trials", no_trials)
+    monkeypatch.setattr(cascade, "ProcessPoolExecutor", no_trials)
+    with pytest.raises(error, match=match):
+        monte_carlo(10, 0.5, spec, d_m, 20, 1, workers=workers)
+
+
 # shocked loads that only the per-trial check of the draw guards: one shock
 # overflows to inf, or every load is finite and their total is not
 @pytest.mark.parametrize("n,d_m,p,match", [

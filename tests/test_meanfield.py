@@ -1,9 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
-from gridcascade import Verdict, run_recursion
-from gridcascade.meanfield import mean_failed_load
+from gridcascade import (
+    BimodalLoads,
+    DeltaLoads,
+    Verdict,
+    apply_disturbance,
+    monte_carlo,
+    run_bimodal,
+    run_recursion,
+)
+from gridcascade.meanfield import bimodal_verdict, mean_failed_load, recursion_verdict
 
 
 def stage_one(a0, d_m):
@@ -117,3 +126,123 @@ def test_nonfinite_inputs_are_rejected(bad):
         run_recursion(0.8, bad)
     with pytest.raises(ValueError):
         run_recursion(0.8, 0.03, tol=bad)
+
+
+def _message(f, *args) -> str:
+    with pytest.raises(ValueError) as err:
+        f(*args)
+    return str(err.value)
+
+
+def _shocked_spec(spec, d_m, *fields):
+    apply_disturbance(spec(*fields).sample(3, np.random.default_rng(0)), d_m,
+                      np.random.default_rng(1))
+
+
+# (a0, d_m) with at least one input outside the one-mode model; where both
+# are, the model's rule is the one reported
+ONE_MODE_BAD = [
+    (0.0, 0.05), (1.0, 0.05), (-0.5, 0.05), (math.nan, 0.05), (math.inf, 0.05),
+    (-math.inf, 0.05), (0.8, 0.0), (0.8, -1.0), (0.8, math.nan), (0.8, math.inf),
+    (0.8, -math.inf), (math.nan, math.nan), (1.5, 0.0),
+]
+# (a0, b0, pa, d_m), likewise for the two-mode model
+TWO_MODE_BAD = [
+    (0.0, 0.9, 0.5, 0.05), (math.nan, 0.9, 0.5, 0.05), (-math.inf, 0.9, 0.5, 0.05),
+    (0.5, 1.0, 0.5, 0.05), (0.5, math.nan, 0.5, 0.05), (0.5, math.inf, 0.5, 0.05),
+    (0.9, 0.5, 0.5, 0.05), (0.5, 0.9, -0.1, 0.05), (0.5, 0.9, 1.5, 0.05),
+    (0.5, 0.9, math.nan, 0.05), (0.5, 0.9, math.inf, 0.05), (0.5, 0.9, 0.25, 0.0),
+    (0.5, 0.9, 0.25, math.nan), (0.5, 0.9, 0.25, -math.inf), (0.9, 0.5, math.nan, math.nan),
+]
+
+
+@pytest.mark.parametrize("a0,d_m", ONE_MODE_BAD)
+def test_one_mode_rules_are_one_set_with_one_message(a0, d_m):
+    messages = {
+        _message(_shocked_spec, DeltaLoads, d_m, a0),
+        _message(run_recursion, a0, d_m),
+        _message(recursion_verdict, a0, d_m),
+        _message(run_bimodal, a0, a0, 1.0, d_m),
+        _message(bimodal_verdict, a0, a0, 1.0, d_m),
+    }
+    assert len(messages) == 1, messages
+
+
+@pytest.mark.parametrize("a0,b0,pa,d_m", TWO_MODE_BAD)
+def test_two_mode_rules_are_one_set_with_one_message(a0, b0, pa, d_m):
+    messages = {
+        _message(_shocked_spec, BimodalLoads, d_m, a0, b0, pa),
+        _message(run_bimodal, a0, b0, pa, d_m),
+        _message(bimodal_verdict, a0, b0, pa, d_m),
+    }
+    assert len(messages) == 1, messages
+
+
+# a surviving, a failing, an outage-at-stage-0 (p0 rounds to 1) and an
+# overflowing-stage-1 start
+@pytest.mark.parametrize("a0,d_m", [(0.8, 0.045), (0.8, 0.07), (0.3, 1e308), (0.8, 1e3)])
+def test_two_mode_run_with_one_mode_starts_as_the_one_mode_run(a0, d_m):
+    one = run_recursion(a0, d_m)[1][0]
+    two = run_bimodal(a0, a0, 1.0, d_m)[1][0]
+    fields = ("n", "a_n", "p_n", "D_n", "mu_prev")
+    assert ([float(getattr(two, f)).hex() for f in fields]
+            == [float(getattr(one, f)).hex() for f in fields])
+
+
+def _trace_z_scores(model, d_m, seed, n=10**6):
+    """How far one n-node complete-graph cascade's stage failures are from
+    the recursion's trace, in standard deviations: stage 0 against the
+    initial failing mass, stage k >= 1 as failures[k]/alive_k against p_k,
+    for the stages the trace is still running with n*p_k >= 100.
+
+    Each stage's count is Poisson about its mean, and its noise carries into
+    every later stage and grows there above the threshold, so the band is
+    not the stage's own Poisson noise alone. To first order, with r_k the
+    relative error of stage k's count and x = D_k/d_m, D_k inherits r_{k-1}
+    and every earlier shift moves the floors:
+
+        r_k = eps_k + x/(1 - exp(-x)) * r_{k-1} + s_{k-1},
+        s_k = s_{k-1} + x * r_{k-1},
+
+    eps_k being stage k's own noise, of variance 1/mean_k. Both modes take
+    the same shift, so this holds for two modes until the upper one dies."""
+    if isinstance(model, DeltaLoads):
+        a0, b0, pa = model.a0, model.a0, 1.0
+        verdict, trace = run_recursion(a0, d_m)
+    else:
+        a0, b0, pa = model.a0, model.b0, model.pa
+        verdict, trace = run_bimodal(a0, b0, pa, d_m)
+    outcome = monte_carlo(n, 1.0, model, d_m, 1, seed).outcomes[0]
+    failures = outcome.failures_per_stage + (0,) * len(trace)
+    means = [n * (pa * math.exp(-(1.0 - a0) / d_m) + (1.0 - pa) * math.exp(-(1.0 - b0) / d_m))]
+    r, s = np.ones(1), np.zeros(1)  # coefficients of each stage's eps
+    zs = [(failures[0] - means[0]) / math.sqrt(means[0])]
+    alive = n - failures[0]
+    for k, state in enumerate(trace, start=1):
+        if state.verdict is not Verdict.RUNNING or n * state.p_n < 100:
+            break
+        x = state.D_n / d_m
+        means.append(alive * state.p_n)
+        r, s = np.append(x / -math.expm1(-x) * r + s, 1.0), np.append(s + x * r, 0.0)
+        sigma = math.sqrt(np.sum(r * r / np.array(means)))
+        zs.append((failures[k] / means[-1] - 1.0) / sigma)
+        alive -= failures[k]
+    return verdict, outcome.survivor_fraction, zs
+
+
+# each model on both sides of its threshold (0.0493 and 0.0220); a complete
+# graph either loses no load or all of it
+@pytest.mark.parametrize("model,d_m", [
+    (DeltaLoads(0.8), 0.045),
+    (DeltaLoads(0.8), 0.054),
+    (BimodalLoads(0.5, 0.9, 0.25), 0.018),
+    (BimodalLoads(0.5, 0.9, 0.25), 0.024),
+    pytest.param(BimodalLoads(0.4, 0.9, 0.8), 0.06, marks=pytest.mark.xfail(
+        strict=True, reason="the recursion lets the upper mode fail more than all "
+        "of itself and calls an outage the process survives (ROADMAP item 1)")),
+])
+def test_trace_follows_a_large_complete_graph_cascade_stage_by_stage(model, d_m):
+    verdict, f, zs = _trace_z_scores(model, d_m, seed=5)
+    assert len(zs) >= 3
+    assert max(map(abs, zs)) <= 5.0, zs
+    assert f == (1.0 if verdict is Verdict.SURVIVES else 0.0)

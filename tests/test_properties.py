@@ -27,9 +27,15 @@ from gridcascade import (
 )
 import gridcascade
 from gridcascade import cascade, harness, threshold
-from gridcascade.bimodal import BOTH_ALIVE, LOWER_ONLY, UPPER_DIES, bimodal_verdict
 from gridcascade.graph import GraphTopology
-from gridcascade.meanfield import mean_failed_load, recursion_verdict
+from gridcascade.meanfield import (
+    BOTH_ALIVE,
+    LOWER_ONLY,
+    UPPER_DIES,
+    bimodal_verdict,
+    mean_failed_load,
+    recursion_verdict,
+)
 from gridcascade.threshold import model_verdict
 
 

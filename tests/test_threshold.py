@@ -85,7 +85,7 @@ def test_two_mode_oracle_with_one_mode_is_the_closed_form(a0):
 
 
 # (mean, a0, b0) splits of the fixed-mean grid where the two-mode recursion
-# misses the exact threshold by more than tol_d; ROADMAP item 2 rebuilds it
+# misses the exact threshold by more than tol_d; ROADMAP item 1 rebuilds it
 RECURSION_MISSES = {
     (0.6, 0.3, 0.91), (0.6, 0.35, 0.97), (0.6, 0.4, 0.97), (0.6, 0.45, 0.94),
     (0.6, 0.45, 0.97), (0.6, 0.5, 0.91), (0.6, 0.5, 0.94), (0.6, 0.5, 0.97),
@@ -95,7 +95,7 @@ RECURSION_MISSES = {
 }
 FIXED_MEAN_SPLITS = [
     pytest.param(mean, a0, b0, marks=[pytest.mark.xfail(
-        strict=True, reason="two-mode recursion off the exact threshold (ROADMAP item 2)",
+        strict=True, reason="two-mode recursion off the exact threshold (ROADMAP item 1)",
     )] if (mean, a0, b0) in RECURSION_MISSES else [])
     for mean in (0.6, 0.7, 0.8)
     for a0 in (round(0.30 + 0.05 * k, 2) for k in range(12))
