@@ -7,14 +7,12 @@ from .cascade import (
     BimodalLoads,
     CascadeOutcome,
     DeltaLoads,
-    RedistributionLimitCheck,
     UniformLoads,
     apply_disturbance,
     init_loads,
     monte_carlo,
     run_cascade,
     trial_rng,
-    validate_redistribution_limit,
 )
 from .graph import GraphTopology, generate_er_graph
 from .meanfield import (
@@ -47,7 +45,6 @@ __all__ = [
     "GraphTopology",
     "MeanFieldState",
     "NonMonotoneError",
-    "RedistributionLimitCheck",
     "ThresholdResult",
     "UniformLoads",
     "UnimodalSweepRow",
@@ -64,5 +61,4 @@ __all__ = [
     "sweep_bimodal_fixed_mean",
     "sweep_dcrit_vs_a0",
     "trial_rng",
-    "validate_redistribution_limit",
 ]

@@ -198,7 +198,7 @@ class AggregateStats:
     prob_no_outage: float
     mean_outage_fraction: float
     per_trial_fractions: tuple[float, ...]
-    outcomes: tuple[CascadeOutcome, ...] = field(repr=False, default=())
+    outcomes: tuple[CascadeOutcome, ...] = field(repr=False)
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -277,6 +277,10 @@ def monte_carlo(
     check_disturbance(d_m)
     if not isinstance(spec, LoadDistributionSpec):
         raise TypeError(f"spec must be a load distribution spec, got {spec!r}")
+    if not (isinstance(master_seed, (int, np.integer)) and master_seed >= 0):
+        raise ValueError(f"master_seed must be an integer >= 0, got {master_seed!r}")
+    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     run, ks = partial(_trials, n, ps, spec, d_m, master_seed), range(trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -296,41 +300,4 @@ def _aggregate(outcomes: tuple[CascadeOutcome, ...]) -> AggregateStats:
         mean_outage_fraction=float(1.0 - fractions.mean()),
         per_trial_fractions=tuple(fractions),
         outcomes=outcomes,
-    )
-
-
-# --- large-N redistributed-load limit -------------------------------------
-
-@dataclass(frozen=True)
-class RedistributionLimitCheck:
-    """Empirical vs predicted per-survivor redistributed load after stage 0.
-
-    For constant initial load a0 plus Exponential(d_m) noise, the total
-    failed load divided by the survivor count converges (N -> inf) to
-    p0/(1-p0) * (1+d_m) with p0 = exp(-(1-a0)/d_m).
-    """
-
-    empirical: float
-    predicted: float
-    survivors: int
-    failed: int
-
-
-def validate_redistribution_limit(
-    n: int, a0: float, d_m: float, rng: np.random.Generator
-) -> RedistributionLimitCheck:
-    """Empirically check the large-N limit of the stage-0 redistributed load.
-
-    A draw with zero survivors is reported (empirical = inf), not raised;
-    so is a p0 that rounds to 1 (predicted = inf, the limit as p0 -> 1).
-    """
-    loads = apply_disturbance(init_loads(n, DeltaLoads(a0), rng), d_m, rng)
-    failed = loads >= 1.0
-    n_failed = int(failed.sum())
-    n_survive = n - n_failed
-    empirical = float(loads[failed].sum()) / n_survive if n_survive > 0 else math.inf
-    p0 = math.exp(-(1.0 - a0) / d_m)
-    predicted = p0 / (1.0 - p0) * (1.0 + d_m) if p0 < 1.0 else math.inf
-    return RedistributionLimitCheck(
-        empirical=empirical, predicted=predicted, survivors=n_survive, failed=n_failed
     )

@@ -177,8 +177,9 @@ def _init(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float
     and take its first stage: the verdict, the row-1 scalars
     ``(1, a0, p1, D1, 1 + d_m)`` and e1 = expm1(D1/d_m). From the stage-0
     failure probability p0 = pa*q(a0) + (1-pa)*q(b0), q(x) =
-    exp(-(1-x)/d_m), D1 = p0/(1-p0) * (1+d_m) and p1 = p0/(1-p0) * e1.
-    expm1 overflows for blackout-scale D1, an outage."""
+    exp(-(1-x)/d_m), D1 = p0/(1-p0) * (1+d_m), the large-N limit of the
+    load failed at stage 0 per survivor, and p1 = p0/(1-p0) * e1. expm1
+    overflows for blackout-scale D1, an outage."""
     check_modes(a0, b0, pa)
     check_disturbance(d_m)
     if max_iter < 1:

@@ -16,12 +16,13 @@ from gridcascade import (
     DeltaLoads,
     UniformLoads,
     Verdict,
+    apply_disturbance,
     find_d_critical,
     generate_er_graph,
+    init_loads,
     monte_carlo,
     run_recursion,
     sweep_bimodal_fixed_mean,
-    validate_redistribution_limit,
 )
 from gridcascade import cascade
 
@@ -74,14 +75,18 @@ def test_criterion_3_equal_load_optimality():
 
 
 def test_criterion_4_redistribution_limit():
+    # the recursion's first shift D_1 is the large-N limit of the load that
+    # fails at stage 0, shared over the survivors
     t0 = time.perf_counter()
-    predicted = math.exp(-2) / (1 - math.exp(-2)) * 1.1
+    n = 100_000
+    predicted = run_recursion(0.8, 0.1)[1][0].D_n
+    assert predicted == pytest.approx(math.exp(-2) / (1 - math.exp(-2)) * 1.1)
     for seed in (101, 202, 303):
-        check = validate_redistribution_limit(
-            100_000, 0.8, 0.1, np.random.default_rng(seed)
-        )
-        assert check.predicted == pytest.approx(predicted)
-        assert abs(check.empirical - predicted) / predicted < 0.02
+        rng = np.random.default_rng(seed)
+        loads = apply_disturbance(init_loads(n, DeltaLoads(0.8), rng), 0.1, rng)
+        failed = loads >= 1.0
+        empirical = loads[failed].sum() / (n - failed.sum())
+        assert abs(empirical - predicted) / predicted < 0.02
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(4, f"empirical per-survivor load within 2% of {predicted:.5f} "

@@ -18,7 +18,6 @@ from gridcascade import (
     monte_carlo,
     run_cascade,
     trial_rng,
-    validate_redistribution_limit,
 )
 from gridcascade import cascade
 from gridcascade.graph import GraphTopology
@@ -477,22 +476,27 @@ def test_grid_rejects_any_bad_edge_prob_before_any_trial(monkeypatch, workers, p
         monte_carlo(10, ps, UniformLoads(), 0.1, 20, 1, workers=workers)
 
 
-@pytest.mark.parametrize("d_m,spec,error,match", [
-    (-1.0, UniformLoads(), ValueError, "disturbance mean"),
-    (0.0, UniformLoads(), ValueError, "disturbance mean"),
-    (math.nan, UniformLoads(), ValueError, "disturbance mean"),
-    (0.1, "uniform", TypeError, "load distribution spec"),
+@pytest.mark.parametrize("d_m,spec,error,match,overrides", [
+    (-1.0, UniformLoads(), ValueError, "disturbance mean", {}),
+    (0.0, UniformLoads(), ValueError, "disturbance mean", {}),
+    (math.nan, UniformLoads(), ValueError, "disturbance mean", {}),
+    (0.1, "uniform", TypeError, "load distribution spec", {}),
+    (0.1, UniformLoads(), ValueError, "master_seed", {"master_seed": -1}),
+    (0.1, UniformLoads(), ValueError, "master_seed", {"master_seed": 1.5}),
+    (0.1, UniformLoads(), ValueError, "workers", {"workers": 0}),
+    (0.1, UniformLoads(), ValueError, "workers", {"workers": -2}),
+    (0.1, UniformLoads(), ValueError, "workers", {"workers": 1.5}),
 ])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_monte_carlo_rejects_a_bad_disturbance_or_spec_before_any_trial(
-        monkeypatch, workers, d_m, spec, error, match):
+        monkeypatch, workers, d_m, spec, error, match, overrides):
     def no_trials(*args, **kwargs):
-        raise AssertionError("a trial or a pool started before d_m and spec were checked")
+        raise AssertionError("a trial or a pool started before the arguments were checked")
 
     monkeypatch.setattr(cascade, "_trials", no_trials)
     monkeypatch.setattr(cascade, "ProcessPoolExecutor", no_trials)
     with pytest.raises(error, match=match):
-        monte_carlo(10, 0.5, spec, d_m, 20, 1, workers=workers)
+        monte_carlo(10, 0.5, spec, d_m, 20, **{"master_seed": 1, "workers": workers, **overrides})
 
 
 # shocked loads that only the per-trial check of the draw guards: one shock
@@ -528,36 +532,3 @@ def test_single_p_trials_peak_like_one_draw():
 def test_monte_carlo_rejects_zero_trials():
     with pytest.raises(ValueError):
         monte_carlo(10, 0.5, UniformLoads(), 0.1, 0, master_seed=1)
-
-
-# --- large-N redistributed load -------------------------------------------
-
-def test_redistribution_limit_matches_closed_form():
-    check = validate_redistribution_limit(100_000, 0.8, 0.1, np.random.default_rng(42))
-    expected = math.exp(-2) / (1 - math.exp(-2)) * 1.1
-    assert check.predicted == pytest.approx(expected)
-    assert abs(check.empirical - check.predicted) / check.predicted < 0.02
-
-
-def test_redistribution_limit_vanishes_with_disturbance():
-    check = validate_redistribution_limit(100, 0.8, 1e-3, np.random.default_rng(0))
-    assert check.predicted < 1e-50
-    assert check.empirical == 0.0
-
-
-def test_redistribution_limit_reports_zero_survivors():
-    # hunt for a draw where every node fails; must be reported, not raised
-    for seed in range(200):
-        check = validate_redistribution_limit(3, 0.99, 20.0, np.random.default_rng(seed))
-        if check.survivors == 0:
-            assert check.empirical == math.inf
-            return
-    pytest.fail("no zero-survivor draw found")
-
-
-def test_redistribution_limit_reports_a_certain_stage_zero_failure():
-    # p0 = exp(-0.5/1e17) rounds to 1.0: the prediction is its p0 -> 1 limit
-    check = validate_redistribution_limit(10, 0.5, 1e17, np.random.default_rng(0))
-    assert check.predicted == math.inf
-    assert (check.survivors, check.failed) == (0, 10)
-    assert check.empirical == math.inf
