@@ -26,7 +26,7 @@ for p, stats in zip(ps, grid):
     print(f"{p:>5.1f}  {stats.prob_no_outage:>13.3f}  {stats.mean_outage_fraction:>21.3f}")
 
 # the fully connected case is all-or-nothing: every trial ends at f = 0 or 1
-fractions = np.array(grid[ps.index(1.0)].per_trial_fractions)
+fractions = np.array([o.survivor_fraction for o in grid[ps.index(1.0)].outcomes])
 print(f"\nfully connected: every survivor fraction in {{0, 1}}: "
       f"{set(np.unique(fractions)) <= {0.0, 1.0}}")
 print("sparse graphs break into many small outages; dense graphs into few total ones")

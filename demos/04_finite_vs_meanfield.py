@@ -30,6 +30,6 @@ print(f"  predicted {predicted:.5f}   empirical {empirical:.5f}   "
 for d_m in (0.03, 0.07):
     verdict, _ = run_recursion(0.8, d_m)
     stats = monte_carlo(5000, 1.0, DeltaLoads(0.8), d_m, 20, master_seed=99)
-    fractions = np.array(stats.per_trial_fractions)
+    fractions = np.array([o.survivor_fraction for o in stats.outcomes])
     print(f"d_m = {d_m}: recursion says {verdict.value}; "
           f"{np.mean(fractions == 1.0):.0%} of N=5000 trials survive intact")

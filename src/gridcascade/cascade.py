@@ -197,7 +197,6 @@ class AggregateStats:
     trials: int
     prob_no_outage: float
     mean_outage_fraction: float
-    per_trial_fractions: tuple[float, ...]
     outcomes: tuple[CascadeOutcome, ...] = field(repr=False)
 
 
@@ -298,6 +297,5 @@ def _aggregate(outcomes: tuple[CascadeOutcome, ...]) -> AggregateStats:
         trials=len(outcomes),
         prob_no_outage=float(np.mean(fractions == 1.0)),
         mean_outage_fraction=float(1.0 - fractions.mean()),
-        per_trial_fractions=tuple(fractions),
         outcomes=outcomes,
     )

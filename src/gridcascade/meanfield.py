@@ -16,16 +16,16 @@ few scalars per stage:
 The cascade dies out when p_n -> 0 (floors stay below capacity) and ends in
 a complete outage when the remaining mass is pushed to capacity 1. Both
 floors drift up by D_n until the upper mode hits capacity, after which the
-two-mode recursion is the one-mode form on the lower floor. It takes one of
-three branches per stage:
+two-mode recursion is the one-mode form on the lower floor. It runs through
+three branches, in order, one phase each:
 
     BOTH_ALIVE    both modes still below capacity after the shift
     UPPER_DIES    the shift kills the b-mode exactly this stage
     LOWER_ONLY    only the a-mode remains
 
-``recursion_verdict`` (one mode) and ``bimodal_verdict`` (two) each iterate
-these scalars in one loop, keeping them in locals, and return the verdict.
-Both start from ``_init``, which checks the inputs and computes stage 1.
+``recursion_verdict`` (one mode) and ``bimodal_verdict`` (two) iterate
+these scalars in locals, one loop per phase, and return the verdict. Both
+start from ``_init``, which checks the inputs and computes stage 1.
 Given a list, a loop also appends each stage as a plain row
 ``(n, a_n, p_n, D_n, mu_prev)``, mu_prev being the mu that produced D_n;
 a two-mode row goes on with ``(b_n, branch, p_tilde)``, p_tilde being the
@@ -33,12 +33,16 @@ failing mass of an UPPER_DIES stage (else nan). ``run_recursion`` and
 ``run_bimodal`` pass one and return its rows as a trace: one state per row,
 the row's fields followed by the verdict.
 
-Without a list (the threshold search's probes) a loop may stop a surviving
-run early: once p_n is small, ``_survival_proven`` bounds every later
+Without a list (the threshold search's probes) a loop may stop a run
+early, on a proven bound either way, with the verdict the remaining stages
+would reach. Once p_n is small, ``_survival_proven`` bounds every later
 stage, and when the bound shows p_n falling below ``tol`` within the stage
 budget with the floors below capacity (so in BOTH_ALIVE or LOWER_ONLY to
-the end), the loop returns SURVIVES, the verdict the remaining stages would
-reach. A traced run computes every stage.
+the end), the loop returns SURVIVES. Once the shift D_n grows from one
+one-mode or LOWER_ONLY stage to the next, every later shift grows too, and
+when the stage budget covers the stages it needs to push the lower floor to
+capacity, the loop returns COMPLETE_OUTAGE (see ``recursion_verdict``). A
+traced run computes every stage.
 """
 
 from __future__ import annotations
@@ -182,8 +186,8 @@ def _init(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float
     overflows for blackout-scale D1, an outage."""
     check_modes(a0, b0, pa)
     check_disturbance(d_m)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     mu = 1.0 + d_m
@@ -202,6 +206,12 @@ def _init(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float
     return (COMPLETE_OUTAGE if p1 >= 1.0 else RUNNING), (1, a0, p1, D1, mu), e1
 
 
+# the outage exit of a verdict-only loop (see recursion_verdict): a shift
+# must beat the last one by GROWTH, and the stage count takes SLACK*d_m plus
+# ROUNDING off every later shift
+GROWTH, SLACK, ROUNDING = 1.0 + 1e-9, 1e-6, 2.0 ** -53
+
+
 def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float = 1e-12,
                       rows: list | None = None) -> Verdict:
     """The verdict of ``run_recursion``; each stage row goes to ``rows``
@@ -212,10 +222,36 @@ def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float 
     ``mean_failed_load`` without its guards (p >= tol > 0 makes e > 0, and
     an infinite e gives D/e = 0).
 
-    Without ``rows``, a stage whose p has fallen below a cut (1e-3, then a
-    sixteenth of the last p tested) asks ``_survival_proven`` whether the
-    rest of the run must survive within ``max_iter``, and returns SURVIVES
-    at once when it must. With ``rows`` the cut is ``tol``: every stage runs."""
+    Without ``rows`` a run may stop early, on a proven bound either way.
+    A pass whose p has fallen below a cut (1e-3, then a sixteenth of the
+    last p tested) asks ``_survival_proven`` whether the rest of the run
+    must survive within ``max_iter``, and returns SURVIVES at once when it
+    must. A pass whose new shift D' beats the last one, D, by the factor
+    GROWTH returns COMPLETE_OUTAGE before computing its p when the passes
+    left after it, less a spare one, number more than (1 - a')/(D' -
+    SLACK*d_m - ROUNDING), a' = a + D being the new floor.
+
+    The proof: a stage maps D to D' = D * R(a, D), where R = Q(a) *
+    expm1(D/d_m)/D * mu(D) / (1 - p), Q = q/(1-q) and p = Q(a) *
+    expm1(D/d_m), and each factor grows with a or D (q with a, expm1(x)/x
+    with x, the mean failed load mu with D, and 1/(1-p) with both). So
+    after D' > D the next ratio R(a', D') is at least R(a, D) > 1, and by
+    induction every later shift is at least D' and every later p exceeds
+    the last one tested (>= tol): no later pass survives, and each raises
+    the floor by at least D'. The top-of-pass exit D > 1 - a fires once
+    those rises pass the headroom 1 - a', within the count above, unless
+    another outage exit came first; every exit left is an outage.
+
+    Rounding: Q(a + D)/Q(a) >= exp(D/d_m) makes each exact ratio beat the
+    last by at least exp(D'/d_m) - 1 > 1e-6 once D' > SLACK*d_m, while the
+    roundings, expm1's argument error and the cancellation in 1 - q (which
+    stays above about 1e-6 while p < 1) move one computed ratio by far
+    less, so the computed shifts grow as the exact ones do; the GROWTH
+    margin covers the first ratio. A computed a + D below 1 is at most
+    ROUNDING short, hence D' less ROUNDING in the count, and the spare pass
+    absorbs the rounding of the test itself.
+
+    With ``rows`` neither early exit is taken: every stage runs."""
     verdict, row, e = _init(a0, a0, 1.0, d_m, max_iter, tol)
     if rows is not None:
         rows.append(row)
@@ -224,6 +260,7 @@ def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float 
     n, a, p, D, mu = row
     exp, expm1 = math.exp, math.expm1
     cut = tol if rows is not None else max(1e-3, tol)
+    grown = D * GROWTH
     for _ in range(max_iter):
         if p < cut:
             if p < tol or _survival_proven(a, 1.0, 1.0, p, D, d_m, tol, max_iter - n + 1):
@@ -237,6 +274,10 @@ def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float 
         mu = 1.0 + d_m - D / e
         D = p / (1.0 - p) * mu
         n += 1
+        if (D > grown and rows is None
+                and (D - SLACK * d_m - ROUNDING) * (max_iter - n) > 1.0 - a):
+            return COMPLETE_OUTAGE
+        grown = D * GROWTH
         try:
             q = exp(-(1.0 - a) / d_m)
             e = expm1(D / d_m)
@@ -268,15 +309,36 @@ def run_recursion(
     return verdict, trace(MeanFieldState, verdict, rows)
 
 
+def _renumbered_outage(rows: list | None) -> Verdict:
+    """A two-mode outage exit that computed no stage: the last row again,
+    one stage on."""
+    if rows is not None:
+        rows.append((rows[-1][0] + 1, *rows[-1][1:]))
+    return COMPLETE_OUTAGE
+
+
 def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int = 10_000,
                     tol: float = 1e-12, rows: list | None = None) -> Verdict:
     """The verdict of ``run_bimodal``; each stage row goes to ``rows`` when
-    a list is given. BOTH_ALIVE and LOWER_ONLY share the unimodal stage
-    formulas and its carried e = expm1(D/d_m), written inline as in
-    ``recursion_verdict``, and differ only in the failing mass q of the
-    shifted floors. UPPER_DIES computes no e for its D, so the stage after
-    it takes mu from ``mean_failed_load``. Without ``rows`` a small p is
-    tested for proven survival, as in ``recursion_verdict``."""
+    a list is given. The run goes through its branches in order, one phase
+    each, on one budget of ``max_iter`` passes:
+
+    1. BOTH_ALIVE while the shift leaves the upper floor below capacity:
+       the unimodal stage formulas and carried e = expm1(D/d_m), written
+       inline as in ``recursion_verdict``, on the mixed failing mass
+       q = pa*q(a) + (1-pa)*q(b) of the shifted floors;
+    2. one UPPER_DIES stage once the shift reaches it (an outage if pa = 0),
+       or none if b + D rounded to 1 in phase 1;
+    3. LOWER_ONLY: the unimodal formulas on the lower floor. UPPER_DIES
+       computes no e for its D (it leaves e = 0), so the first stage after
+       it takes mu from ``mean_failed_load``.
+
+    Without ``rows`` a small p is tested for proven survival in every
+    phase, and a growing shift for a proven outage in phase 3 alone, from
+    its second stage on, both as in ``recursion_verdict``: in phase 1 the
+    upper mode's death can still leave the lower mode alive, and a stage
+    that follows UPPER_DIES or BOTH_ALIVE does not start from the lower
+    floor's own p."""
     verdict, row, e = _init(a0, b0, pa, d_m, max_iter, tol)
     if rows is not None:
         rows.append(row + (b0, INIT, math.nan))
@@ -285,62 +347,85 @@ def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int =
     pb = 1.0 - pa
     exp, expm1, nan = math.exp, math.expm1, math.nan
     n, a, p, D, mu = row
-    b, branch, p_tilde = b0, INIT, nan
+    b = b0
     cut = tol if rows is not None else max(1e-3, tol)
     for _ in range(max_iter):
         if p < cut:
             if p < tol or _survival_proven(a, b, pa, p, D, d_m, tol, max_iter - n + 1):
                 return SURVIVES
             cut = max(p / 16.0, tol)
-        try:
-            if D < (1.0 - b) and b < 1.0:
-                branch_next, b_next = BOTH_ALIVE, b + D
-            elif (1.0 - a) > D >= (1.0 - b) and b < 1.0:
-                branch_next, b_next = UPPER_DIES, 1.0
-            elif D < (1.0 - a) and b == 1.0:  # a < 1 here, as in the unimodal loop
-                branch_next, b_next = LOWER_ONLY, b
-            else:
-                branch_next = None  # remaining mass pushed past capacity
-            a_next = a + D
-            if branch_next is UPPER_DIES:
-                if pa == 0.0:
-                    # no lower mode: killing the upper mode kills everyone
-                    if rows is not None:
-                        rows.append((n + 1, a, p, D, mu, 1.0, UPPER_DIES, p_tilde))
-                    return COMPLETE_OUTAGE
-                qa, qa_next, qb = (
-                    exp(-(1.0 - a) / d_m), exp(-(1.0 - a_next) / d_m), exp(-(1.0 - b) / d_m))
-                # failing mass this stage: the slice of the a-mode crossing
-                # capacity plus the entire remaining b-mode
-                p_tilde_next = pa * (exp(-(1.0 - a - D) / d_m) - qa) + pb * (1.0 - qb)
-                num = (
-                    pa * qa_next * (1.0 + d_m - (1.0 + D + d_m) * exp(-D / d_m))
-                    + pb * (b + D + d_m - (1.0 + D + d_m) * qb)
-                )
-                mu_next = num / p_tilde_next if p_tilde_next > 0 else 1.0 + d_m
-                D_next = p / (1.0 - p) * mu_next
-                p_next = 1.0 - pa * (1.0 - qa_next) / (1.0 - (pa * qa + pb))
-            elif branch_next is not None:
-                p_tilde_next = nan
-                mu_next = mean_failed_load(D, d_m) if branch is UPPER_DIES else 1.0 + d_m - D / e
-                D_next = p / (1.0 - p) * mu_next
-                q = exp(-(1.0 - a_next) / d_m)
-                if branch_next is BOTH_ALIVE:
-                    # b + D rounds to at most 1 when D < 1 - b: no clamp
-                    q = pa * q + pb * exp(-(1.0 - b_next) / d_m)
-                e = expm1(D_next / d_m)
-                p_next = q / (1.0 - q) * e
-        except (OverflowError, ZeroDivisionError):
-            branch_next = None
+        if not D < 1.0 - b:  # else b + D below rounds to at most 1: no clamp
+            break
+        a += D
+        b += D
         n += 1
-        if branch_next is None:
-            if rows is not None:
-                rows.append((n, a, p, D, mu, b, branch, p_tilde))  # renumbered
-            return COMPLETE_OUTAGE
-        a, p, D, mu, b, branch, p_tilde = (
-            a_next, p_next, D_next, mu_next, b_next, branch_next, p_tilde_next)
+        try:
+            mu = 1.0 + d_m - D / e
+            D = p / (1.0 - p) * mu
+            q = pa * exp(-(1.0 - a) / d_m) + pb * exp(-(1.0 - b) / d_m)
+            e = expm1(D / d_m)
+            p = q / (1.0 - q) * e
+        except (OverflowError, ZeroDivisionError):
+            return _renumbered_outage(rows)
         if rows is not None:
-            rows.append((n, a, p, D, mu, b, branch, p_tilde))
+            rows.append((n, a, p, D, mu, b, BOTH_ALIVE, nan))
+        if not 0.0 <= p < 1.0 or a >= 1.0:
+            return COMPLETE_OUTAGE
+    else:
+        return UNDETERMINED
+    if b < 1.0:  # the shift reaches the upper floor this pass
+        if not D < 1.0 - a:  # and the lower one: the remaining mass fails
+            return _renumbered_outage(rows)
+        if pa == 0.0:
+            # no lower mode: killing the upper mode kills everyone
+            if rows is not None:
+                rows.append((n + 1, a, p, D, mu, 1.0, UPPER_DIES, nan))
+            return COMPLETE_OUTAGE
+        a_next = a + D
+        try:
+            qa, qa_next, qb = (
+                exp(-(1.0 - a) / d_m), exp(-(1.0 - a_next) / d_m), exp(-(1.0 - b) / d_m))
+            # failing mass this stage: the slice of the a-mode crossing
+            # capacity plus the entire remaining b-mode
+            p_tilde = pa * (exp(-(1.0 - a - D) / d_m) - qa) + pb * (1.0 - qb)
+            num = (
+                pa * qa_next * (1.0 + d_m - (1.0 + D + d_m) * exp(-D / d_m))
+                + pb * (b + D + d_m - (1.0 + D + d_m) * qb)
+            )
+            mu = num / p_tilde if p_tilde > 0 else 1.0 + d_m
+            D = p / (1.0 - p) * mu
+            p = 1.0 - pa * (1.0 - qa_next) / (1.0 - (pa * qa + pb))
+        except (OverflowError, ZeroDivisionError):
+            return _renumbered_outage(rows)
+        a, e, n = a_next, 0.0, n + 1
+        if rows is not None:
+            rows.append((n, a, p, D, mu, 1.0, UPPER_DIES, p_tilde))
+        if not 0.0 <= p < 1.0 or a >= 1.0:
+            return COMPLETE_OUTAGE
+    grown = math.inf
+    for _ in range(max_iter - n + 1):
+        if p < cut:
+            if p < tol or _survival_proven(a, 1.0, pa, p, D, d_m, tol, max_iter - n + 1):
+                return SURVIVES
+            cut = max(p / 16.0, tol)
+        if not D < 1.0 - a:  # a < 1 here, as in the unimodal loop
+            return _renumbered_outage(rows)
+        a += D
+        n += 1
+        try:
+            mu = 1.0 + d_m - D / e if e else mean_failed_load(D, d_m)
+            D = p / (1.0 - p) * mu
+            if (D > grown and rows is None
+                    and (D - SLACK * d_m - ROUNDING) * (max_iter - n) > 1.0 - a):
+                return COMPLETE_OUTAGE
+            grown = D * GROWTH
+            q = exp(-(1.0 - a) / d_m)
+            e = expm1(D / d_m)
+            p = q / (1.0 - q) * e
+        except (OverflowError, ZeroDivisionError):
+            return _renumbered_outage(rows)
+        if rows is not None:
+            rows.append((n, a, p, D, mu, 1.0, LOWER_ONLY, nan))
         if not 0.0 <= p < 1.0 or a >= 1.0:
             return COMPLETE_OUTAGE
     return UNDETERMINED

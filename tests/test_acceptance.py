@@ -98,8 +98,8 @@ def test_criterion_5_meanfield_simulation_agreement():
     sub = monte_carlo(5000, 1.0, DeltaLoads(0.8), 0.03, 100, master_seed=1001)
     sup = monte_carlo(5000, 1.0, DeltaLoads(0.8), 0.07, 100, master_seed=1002)
     elapsed = time.perf_counter() - t0
-    survive_frac = np.mean(np.array(sub.per_trial_fractions) == 1.0)
-    outage_frac = np.mean(np.array(sup.per_trial_fractions) == 0.0)
+    survive_frac = np.mean(np.array([o.survivor_fraction for o in sub.outcomes]) == 1.0)
+    outage_frac = np.mean(np.array([o.survivor_fraction for o in sup.outcomes]) == 0.0)
     assert run_recursion(0.8, 0.03)[0] is Verdict.SURVIVES
     assert run_recursion(0.8, 0.07)[0] is Verdict.COMPLETE_OUTAGE
     assert survive_frac >= 0.95
@@ -111,7 +111,7 @@ def test_criterion_5_meanfield_simulation_agreement():
 
 def test_criterion_6_complete_graph_dichotomy():
     stats = monte_carlo(50, 1.0, UniformLoads(), 0.1, 1000, master_seed=2024)
-    assert set(stats.per_trial_fractions) <= {0.0, 1.0}
+    assert {o.survivor_fraction for o in stats.outcomes} <= {0.0, 1.0}
     report(6, "1000/1000 complete-graph trials end at f exactly 0 or 1")
 
 
@@ -156,7 +156,8 @@ def test_criterion_8_property_suite():
     for seed in (5, 6):
         serial = monte_carlo(40, 0.5, UniformLoads(), 0.1, 30, seed, workers=1)
         pooled = monte_carlo(40, 0.5, UniformLoads(), 0.1, 30, seed, workers=4)
-        assert serial.per_trial_fractions == pooled.per_trial_fractions
+        assert ([o.survivor_fraction for o in serial.outcomes]
+                == [o.survivor_fraction for o in pooled.outcomes])
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     report(8, "conservation, termination, monotone death over 10000 fuzzed "

@@ -343,7 +343,7 @@ def test_stage_kernel_matches_golden_digest(n, p):
 
 def test_complete_graph_outcomes_are_all_or_nothing():
     stats = monte_carlo(20, 1.0, UniformLoads(), 0.1, 200, master_seed=7)
-    assert set(stats.per_trial_fractions) <= {0.0, 1.0}
+    assert {o.survivor_fraction for o in stats.outcomes} <= {0.0, 1.0}
     assert stats.prob_no_outage == pytest.approx(
         1.0 - stats.mean_outage_fraction
     )
@@ -363,7 +363,8 @@ def test_connectivity_helps():
 def test_monte_carlo_is_deterministic_across_worker_counts():
     serial = monte_carlo(30, 0.5, UniformLoads(), 0.1, 40, master_seed=9, workers=1)
     parallel = monte_carlo(30, 0.5, UniformLoads(), 0.1, 40, master_seed=9, workers=3)
-    assert serial.per_trial_fractions == parallel.per_trial_fractions
+    assert ([o.survivor_fraction for o in serial.outcomes]
+            == [o.survivor_fraction for o in parallel.outcomes])
     assert serial.prob_no_outage == parallel.prob_no_outage
 
 

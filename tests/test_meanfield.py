@@ -8,6 +8,7 @@ from gridcascade import (
     DeltaLoads,
     Verdict,
     apply_disturbance,
+    find_d_critical,
     monte_carlo,
     run_bimodal,
     run_recursion,
@@ -107,9 +108,15 @@ def test_max_iter_exhaustion_is_undetermined():
     assert verdict is Verdict.UNDETERMINED
 
 
-def test_zero_stage_budget_is_rejected():
-    with pytest.raises(ValueError, match="max_iter"):
-        run_recursion(0.8, 0.03, max_iter=0)
+@pytest.mark.parametrize("max_iter", [0, 1.5, True])
+def test_zero_stage_budget_is_rejected(max_iter):
+    # 1.5 used to fail in range() with a TypeError naming neither max_iter
+    # nor the function, and True to run one stage
+    for run in (lambda: run_recursion(0.8, 0.03, max_iter=max_iter),
+                lambda: run_bimodal(0.5, 0.9, 0.25, 0.03, max_iter=max_iter),
+                lambda: find_d_critical(DeltaLoads(0.8), max_iter=max_iter)):
+        with pytest.raises(ValueError, match="max_iter"):
+            run()
 
 
 def test_nan_disturbance_is_rejected_not_undetermined():

@@ -119,7 +119,7 @@ def test_two_mode_oracle_brackets_large_complete_graph_cascades(seed, scale, fra
     # completely 15% above it
     d = scale * _two_mode_d_critical(0.4, 0.9, 0.8)
     stats = monte_carlo(200_000, 1.0, BimodalLoads(0.4, 0.9, 0.8), d, 3, seed)
-    assert stats.per_trial_fractions == (fraction,) * 3
+    assert [o.survivor_fraction for o in stats.outcomes] == [fraction] * 3
 
 
 def test_bimodal_threshold_matches_reported_range():
