@@ -9,12 +9,12 @@ receive load again. The process stops at the first stage with no failures.
 Simultaneously failing nodes do not transfer load to each other. A failing
 node with no alive non-failing neighbor simply drops its load.
 
-The graph is never copied or written. Dead nodes carry load 0, so the nodes
-at or above capacity are exactly the failing ones. On any other graph a stage
-gathers its (receivers x failing) edge block with two ``take`` calls into one
-float copy, which gives the failing nodes' degrees and feeds one BLAS
-matrix-vector product. On a complete graph every failing node neighbors every
-receiver, so each stage is one shared increment instead.
+The graph is never copied or written. Dead nodes carry load -inf, so the
+loads at or above capacity are the failing nodes and the finite ones the
+alive nodes. On a complete graph a stage adds one shared increment to every
+load in place (-inf plus a share stays -inf); on any other graph it gathers
+its (receivers x failing) edge block with two ``take`` calls into one float
+copy, which gives the degrees and feeds one BLAS matrix-vector product.
 
 ``run_cascade`` checks a graph's loads, then runs the one cascade loop,
 ``_cascade``. Monte Carlo trial ``k`` draws from its own substream,
@@ -124,21 +124,20 @@ class CascadeOutcome:
     failures_per_stage: tuple[int, ...]
 
 
-def _stage(adj: np.ndarray | None, loads: np.ndarray, alive: np.ndarray) -> tuple[int, float]:
-    """One stage on adjacency ``adj`` (None: the complete graph), writing
-    ``loads`` and ``alive``: (failures, dropped load)."""
+def _stage(adj: np.ndarray | None, loads: np.ndarray, alive: int) -> tuple[int, float]:
+    """One stage on adjacency ``adj`` (None: the complete graph) that writes
+    ``loads``, with ``alive`` finite entries: (failures, dropped load)."""
     (idx,) = (loads >= 1.0).nonzero()
     if idx.size == 0:
         return 0, 0.0
-    alive[idx] = False
-    (recv,) = alive.nonzero()
     out = loads[idx]
-    loads[idx] = 0.0
+    loads[idx] = -np.inf
+    if alive == idx.size:
+        return idx.size, float(_sum(out))
     if adj is None:
-        if not recv.size:
-            return idx.size, float(_sum(out))
-        loads[recv] += _sum(out / recv.size)
+        loads += _sum(out / (alive - idx.size))
         return idx.size, 0.0
+    (recv,) = (loads > -np.inf).nonzero()
     # recv and idx hold live nodes only, so the block holds every edge that
     # carries load this stage and no edge to a dead node. Columns are taken
     # first, so a stage copies n*|idx| bytes, not n*|recv|; one float copy
@@ -171,8 +170,8 @@ def run_cascade(g: GraphTopology, loads: np.ndarray) -> CascadeOutcome:
 def _cascade(adj: np.ndarray | None, loads: np.ndarray, total: float) -> CascadeOutcome:
     """The cascade on adjacency ``adj`` (None: the complete graph) from
     ``loads``, which it owns and overwrites: nonnegative float64 loads whose
-    sum ``total`` is finite, as ``_total`` checks."""
-    alive = np.ones(loads.size, dtype=bool)
+    sum ``total`` is finite, as ``_total`` checks. Failed nodes end at -inf."""
+    alive = loads.size
     failures: list[int] = []
     dropped_total = 0.0
     while True:
@@ -180,11 +179,12 @@ def _cascade(adj: np.ndarray | None, loads: np.ndarray, total: float) -> Cascade
         if k == 0:
             break
         failures.append(k)
+        alive -= k
         dropped_total += dropped
     # account for the final load as initial minus dropped (x - 0.0 is x):
     # exact where the float-summed loads would pick up rounding noise, so an
     # all-or-nothing cascade reports f of exactly 1.0 or 0.0
-    final = 0.0 if sum(failures) == loads.size else total - dropped_total
+    final = total - dropped_total if alive else 0.0
     return CascadeOutcome(len(failures), final / total if total > 0 else 1.0, tuple(failures))
 
 
@@ -292,10 +292,7 @@ def monte_carlo(
 
 
 def _aggregate(outcomes: tuple[CascadeOutcome, ...]) -> AggregateStats:
-    fractions = np.array([o.survivor_fraction for o in outcomes])
-    return AggregateStats(
-        trials=len(outcomes),
-        prob_no_outage=float(np.mean(fractions == 1.0)),
-        mean_outage_fraction=float(1.0 - fractions.mean()),
-        outcomes=outcomes,
-    )
+    fractions, n = [o.survivor_fraction for o in outcomes], len(outcomes)
+    return AggregateStats(trials=n, prob_no_outage=fractions.count(1.0) / n,
+                          mean_outage_fraction=float(1.0 - _sum(np.array(fractions)) / n),
+                          outcomes=outcomes)

@@ -108,14 +108,13 @@ def _skip_doubles(bit_generator: np.random.PCG64, count: int) -> None:
     """Advance past ``count`` doubles as ``random`` would draw them.
 
     Each double takes one 64-bit output and leaves the buffered 32-bit half
-    alone, but ``advance`` clears that buffer, so it is restored.
+    alone, but ``advance`` zeroes that buffer and its flag: nonzero ones are restored.
     """
     state = bit_generator.state
     bit_generator.advance(count)
-    advanced = bit_generator.state
-    advanced["has_uint32"] = state["has_uint32"]
-    advanced["uinteger"] = state["uinteger"]
-    bit_generator.state = advanced
+    if state["has_uint32"] or state["uinteger"]:
+        bit_generator.state = {**bit_generator.state, "has_uint32": state["has_uint32"],
+                               "uinteger": state["uinteger"]}
 
 
 @lru_cache(maxsize=4)

@@ -117,8 +117,11 @@ def check_disturbance(d_m: float) -> None:
 
 
 def mean_failed_load(D: float, d_m: float) -> float:
-    """Mean load of nodes pushed past capacity by a shift D: always in
-    (1, 1+d_m]; the D -> 0 limit is 1 + d_m - d_m = 1."""
+    """Mean load of nodes pushed past capacity by a shift D, in [1, 1+d_m]:
+    the D -> 0 limit is 1 + d_m - d_m = 1. A D/d_m that rounds to inf gives
+    1 + d_m, as expm1(inf) is inf, but a finite D/d_m above about 709.78 makes
+    ``math.expm1`` raise OverflowError, which the two-mode loop takes as an
+    outage exit."""
     if D <= 0:
         return 1.0
     denom = math.expm1(D / d_m)

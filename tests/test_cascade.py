@@ -114,25 +114,25 @@ def test_disturbance_rejects_nonpositive_mean():
 # --- stepping -------------------------------------------------------------
 
 def test_single_failure_splits_load_equally():
-    g, loads, alive = k3(), np.array([1.2, 0.3, 0.2]), np.ones(3, dtype=bool)
-    assert cascade._stage(kernel_adj(g), loads, alive)[0] == 1
-    assert np.allclose(loads, [0.0, 0.9, 0.8])
-    assert cascade._stage(kernel_adj(g), loads, alive)[0] == 0
+    g, loads = k3(), np.array([1.2, 0.3, 0.2])
+    assert cascade._stage(kernel_adj(g), loads, 3)[0] == 1
+    assert np.allclose(loads, [-np.inf, 0.9, 0.8])
+    assert cascade._stage(kernel_adj(g), loads, 2)[0] == 0
 
 
 def test_simultaneous_failures_do_not_transfer_to_each_other():
-    g, loads, alive = k3(), np.array([1.2, 0.5, 0.6]), np.ones(3, dtype=bool)
-    assert cascade._stage(kernel_adj(g), loads, alive)[0] == 1
-    assert np.allclose(loads, [0.0, 1.1, 1.2])
+    g, loads = k3(), np.array([1.2, 0.5, 0.6])
+    assert cascade._stage(kernel_adj(g), loads, 3)[0] == 1
+    assert np.allclose(loads, [-np.inf, 1.1, 1.2])
     # nodes 1 and 2 fail together with no alive neighbor left: loads dropped
-    assert cascade._stage(kernel_adj(g), loads, alive)[0] == 2
-    assert np.allclose(loads, 0.0)
+    assert cascade._stage(kernel_adj(g), loads, 2)[0] == 2
+    assert (loads == -np.inf).all()
 
 
 def test_stable_state_is_unchanged():
-    loads, alive = np.array([0.4, 0.5, 0.6]), np.ones(3, dtype=bool)
-    assert cascade._stage(kernel_adj(k3()), loads, alive) == (0, 0.0)
-    assert loads.tolist() == [0.4, 0.5, 0.6] and alive.all()
+    loads = np.array([0.4, 0.5, 0.6])
+    assert cascade._stage(kernel_adj(k3()), loads, 3) == (0, 0.0)
+    assert loads.tolist() == [0.4, 0.5, 0.6]
 
 
 def test_run_cascade_trivial():
@@ -159,9 +159,9 @@ def test_hand_built_incomplete_graph_never_takes_the_shift_path():
     # path 0-1-2 labelled edge_prob=1.0: node 0's load all goes to node 1
     adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
     g = GraphTopology(3, adj, 1.0)
-    loads, alive = np.array([1.2, 0.3, 0.2]), np.ones(3, dtype=bool)
-    assert cascade._stage(kernel_adj(g), loads, alive)[0] == 1
-    assert np.allclose(loads, [0.0, 1.5, 0.2])
+    loads = np.array([1.2, 0.3, 0.2])
+    assert cascade._stage(kernel_adj(g), loads, 3)[0] == 1
+    assert np.allclose(loads, [-np.inf, 1.5, 0.2])
     assert run_cascade(g, np.array([1.2, 0.3, 0.2])).failures_per_stage == (1, 1, 1)
 
 
@@ -222,23 +222,25 @@ def test_orphan_drops_its_load_while_a_neighbor_of_the_same_stage_shares():
     adj.setflags(write=False)
     g = GraphTopology(5, adj, 0.5)
     loads = np.array([0.25, 0.25, 0.25, 0.5, 1.5])
-    staged, alive = loads.copy(), np.ones(5, dtype=bool)
-    assert cascade._stage(kernel_adj(g), staged, alive) == (1, 0.0)
-    assert staged.tolist() == [1.0, 0.25, 0.25, 1.25, 0.0]
-    assert cascade._stage(kernel_adj(g), staged, alive) == (2, 1.25)
-    assert staged.tolist() == [0.0, 0.75, 0.75, 0.0, 0.0]
-    assert alive.tolist() == [False, True, True, False, False]
+    staged = loads.copy()
+    assert cascade._stage(kernel_adj(g), staged, 5) == (1, 0.0)
+    assert staged.tolist() == [1.0, 0.25, 0.25, 1.25, -np.inf]
+    assert cascade._stage(kernel_adj(g), staged, 4) == (2, 1.25)
+    assert staged.tolist() == [-np.inf, 0.75, 0.75, -np.inf, -np.inf]
     assert loads.sum() == 2.75
-    assert staged.sum() == 2.75 - 1.25
+    assert staged[staged > -np.inf].sum() == 2.75 - 1.25
     out = run_cascade(g, loads)
     assert out.failures_per_stage == (1, 2)
     assert out.survivor_fraction == 1.5 / 2.75
 
 
-def reference_stage(graph, loads, alive):
-    """The general-graph stage with a 2-D fancy gather of the block, a degree
-    reduction cast from bool and a matmul on the bool block: ``_stage`` must
-    match it byte for byte."""
+def reference_stage(adj, loads, alive):
+    """The stage in the masked formulation, on adjacency ``adj`` (None: the
+    complete graph): dead nodes carry load 0 and a bool ``alive`` mask, which
+    it writes. A complete-graph stage adds its share to the receivers only; a
+    general-graph stage gathers its block with a 2-D fancy index, reduces the
+    degrees cast from bool and matmuls the bool block. ``_stage`` must match
+    it byte for byte on the alive loads."""
     (idx,) = (loads >= 1.0).nonzero()
     if idx.size == 0:
         return 0, 0.0
@@ -246,7 +248,12 @@ def reference_stage(graph, loads, alive):
     (recv,) = alive.nonzero()
     out = loads[idx]
     loads[idx] = 0.0
-    block = graph.adjacency[recv[:, None], idx]
+    if adj is None:
+        if not recv.size:
+            return idx.size, float(np.add.reduce(out))
+        loads[recv] += np.add.reduce(out / recv.size)
+        return idx.size, 0.0
+    block = adj[recv[:, None], idx]
     deg = np.add.reduce(block, axis=0, dtype=np.float64)
     dropped = 0.0
     if not np.logical_and.reduce(deg):
@@ -258,15 +265,18 @@ def reference_stage(graph, loads, alive):
 
 
 def stage_cases(rng):
-    """(graph, loads, alive) general-graph states: n from 1 to 2,000, dead
-    nodes at load 0, sparse graphs with orphan columns, single failures and
-    stages that leave no receiver."""
+    """(graph, loads, alive) states in the masked formulation: n from 1 to
+    2,000, dead nodes at load 0, complete graphs, sparse graphs with orphan
+    columns, single failures and stages that leave no receiver."""
     for n in np.unique(np.geomspace(1, 2000, 40).astype(int)):
-        for p in (0.0, min(2.0 / n, 1.0), 0.3):
-            upper = np.triu(rng.random((n, n), dtype=np.float32) < p, 1)
-            adj = upper | upper.T
-            adj.setflags(write=False)
-            g = GraphTopology(int(n), adj, p)
+        for p in (0.0, min(2.0 / n, 1.0), 0.3, 1.0):
+            if p == 1.0:
+                g = generate_er_graph(int(n), p, rng)
+            else:
+                upper = np.triu(rng.random((n, n), dtype=np.float32) < p, 1)
+                adj = upper | upper.T
+                adj.setflags(write=False)
+                g = GraphTopology(int(n), adj, p)
             for kind in ("mixed", "one", "all", "mixed"):
                 alive = rng.random(n) >= rng.choice([0.0, 0.3, 0.9])
                 loads = rng.random(n) * rng.choice([1.02, 1.3, 3.0])
@@ -280,20 +290,57 @@ def stage_cases(rng):
 
 
 def test_stage_matches_the_reference_formulation_byte_for_byte():
-    seen = {"one": 0, "no_receiver": 0, "orphan": 0, "shared": 0}
+    seen = {"one": 0, "no_receiver": 0, "orphan": 0, "shared": 0, "complete": 0}
     for g, loads, alive in stage_cases(np.random.default_rng(13)):
-        got_loads, got_alive = loads.copy(), alive.copy()
+        # the same state with dead nodes at -inf
+        got_loads = np.where(alive, loads, -np.inf)
         ref_loads, ref_alive = loads.copy(), alive.copy()
-        got = cascade._stage(kernel_adj(g), got_loads, got_alive)
-        ref = reference_stage(g, ref_loads, ref_alive)
+        got = cascade._stage(kernel_adj(g), got_loads, int(np.count_nonzero(alive)))
+        ref = reference_stage(kernel_adj(g), ref_loads, ref_alive)
         assert repr(got) == repr(ref)
-        assert got_loads.tobytes() == ref_loads.tobytes()
-        assert got_alive.tobytes() == ref_alive.tobytes()
+        assert (got_loads > -np.inf).tobytes() == ref_alive.tobytes()
+        assert got_loads[ref_alive].tobytes() == ref_loads[ref_alive].tobytes()
+        shared = (ref_loads[ref_alive] != loads[ref_alive]).any()
         seen["one"] += got[0] == 1
-        seen["no_receiver"] += got[0] > 0 and not got_alive.any()
+        seen["no_receiver"] += got[0] > 0 and not ref_alive.any()
         seen["orphan"] += got[1] > 0.0
-        seen["shared"] += (got_loads[got_alive] != loads[got_alive]).any()
+        seen["shared"] += shared
+        seen["complete"] += g.complete and shared
     assert min(seen.values()) >= 10, seen
+
+
+def reference_cascade(loads, total):
+    """``_cascade`` on the complete graph, stepped by ``reference_stage``."""
+    alive, failures, dropped = np.ones(loads.size, dtype=bool), [], 0.0
+    while (step := reference_stage(None, loads, alive))[0]:
+        failures.append(step[0])
+        dropped += step[1]
+    final = 0.0 if sum(failures) == loads.size else total - dropped
+    return cascade.CascadeOutcome(len(failures), final / total if total > 0 else 1.0,
+                                  tuple(failures))
+
+
+def test_complete_graph_cascade_matches_the_masked_formulation():
+    """20,000 fuzzed complete-graph trials: delta, two-mode and uniform
+    loads, with d_m on either side of the first two's thresholds (about
+    0.049 and 0.048)."""
+    specs = (DeltaLoads(0.8), BimodalLoads(0.4, 0.9, 0.8), UniformLoads())
+    d_ms = (0.01, 0.03, 0.045, 0.055, 0.07, 0.2)
+    rng = np.random.default_rng(22)
+    seen = set()
+    for n, trials in ((1, 7000), (2, 7000), (50, 5000), (5000, 1000)):
+        for _ in range(trials):
+            spec, d_m = specs[rng.integers(3)], d_ms[rng.integers(6)]
+            loads = apply_disturbance(init_loads(n, spec, rng), d_m, rng)
+            total = cascade._total(loads)
+            got = cascade._cascade(None, loads.copy(), total)
+            assert repr(got) == repr(reference_cascade(loads, total))
+            seen.add((n, got.termination_stage > 0, got.survivor_fraction))
+    # every n sees a cascade-free trial and an outage, and n = 50 and 5000 a
+    # cascade that stops with survivors (at n = 2 the one receiver of a load
+    # of 1 or more always fails too)
+    assert seen >= {(n, False, 1.0) for n in (1, 2, 50, 5000)} | {
+        (n, True, 0.0) for n in (1, 2, 50, 5000)} | {(n, True, 1.0) for n in (50, 5000)}
 
 
 # sha256 of the repr of every CascadeOutcome field, then the initial and
@@ -320,9 +367,10 @@ def stepped_trial(n, p, rng):
     g = generate_er_graph(n, p, rng)
     loads = apply_disturbance(init_loads(n, UniformLoads(), rng), 0.1, rng)
     total, dropped = float(np.add.reduce(loads)), 0.0
-    alive, failures = np.ones(n, dtype=bool), []
+    alive, failures = n, []
     while (step := cascade._stage(kernel_adj(g), loads, alive))[0]:
         failures.append(step[0])
+        alive -= step[0]
         dropped += step[1]
     final = 0.0 if sum(failures) == n else total - dropped
     return len(failures), final / total if total > 0 else 1.0, tuple(failures), total, final
@@ -347,6 +395,25 @@ def test_complete_graph_outcomes_are_all_or_nothing():
     assert stats.prob_no_outage == pytest.approx(
         1.0 - stats.mean_outage_fraction
     )
+
+
+def test_aggregate_matches_the_np_mean_formulation():
+    """20,000 random tuples of 1 to 300 outcomes, with ties at 0 and 1:
+    ``_aggregate``'s two figures equal ``np.mean``'s bit for bit."""
+    rng = np.random.default_rng(22)
+    fractions = np.concatenate([[1.0, 0.0], rng.random(4094), 1.0 - rng.random(1024) * 1e-15])
+    pool = [cascade.CascadeOutcome(1, float(f), (1,)) for f in fractions]
+    for _ in range(20_000):
+        size = int(rng.integers(1, 301))
+        ones, zeros = rng.random(2) * [1.0, 0.5]
+        u = rng.random(size)
+        idx = np.where(u < ones, 0, np.where(u < ones + zeros, 1, rng.integers(2, len(pool), size)))
+        outcomes = tuple(map(pool.__getitem__, idx.tolist()))
+        got = cascade._aggregate(outcomes)
+        ref = fractions[idx]
+        assert got.trials == size and got.outcomes is outcomes
+        assert repr((got.prob_no_outage, got.mean_outage_fraction)) == repr(
+            (float(np.mean(ref == 1.0)), float(1.0 - ref.mean())))
 
 
 def test_tiny_disturbance_means_no_outage():

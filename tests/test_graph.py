@@ -56,9 +56,20 @@ def _pcg64_with_pending_half():
     return rng
 
 
+def _pcg64_with_spent_half():
+    """A generator whose buffered half was drawn: its flag is 0, but the
+    state still holds the half."""
+    rng = _pcg64_with_pending_half()
+    rng.integers(0, 10, dtype=np.int32)
+    assert rng.bit_generator.state["has_uint32"] == 0
+    assert rng.bit_generator.state["uinteger"] != 0
+    return rng
+
+
 @pytest.mark.parametrize("make_rng", [
     lambda: trial_rng(42, 7),
     _pcg64_with_pending_half,
+    _pcg64_with_spent_half,
     lambda: np.random.Generator(np.random.MT19937(8)),
 ])
 @pytest.mark.parametrize("n", [1, 2, 37])

@@ -63,6 +63,18 @@ def test_mean_failed_load_limit_and_bounds():
     assert mean_failed_load(1e300, 1e-10) == 1.0 + 1e-10
 
 
+def test_mean_failed_load_at_an_infinite_and_at_an_overflowing_ratio():
+    # D/d_m rounds to inf, and expm1(inf) is inf: the isinf branch gives 1 + d_m
+    assert 0.5 / 1e-309 == math.inf
+    assert mean_failed_load(0.5, 1e-309) == 1.0 + 1e-309
+    # a finite D/d_m past log(DBL_MAX) = 709.78... raises from math.expm1
+    assert mean_failed_load(709.78, 1.0) == pytest.approx(2.0)
+    for D, d_m in ((709.79, 1.0), (1.0, 0.001), (1e300, 1e-8)):
+        assert math.isfinite(D / d_m)
+        with pytest.raises(OverflowError):
+            mean_failed_load(D, d_m)
+
+
 def test_subcritical_failure_probabilities_decrease():
     _, trace = run_recursion(0.8, 0.03)
     assert trace[0].p_n == pytest.approx(5.70e-5, rel=0.05)

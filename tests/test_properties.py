@@ -54,28 +54,32 @@ def kernel_adj(g):
 
 
 def check_invariants(g, init):
-    loads, alive = init.copy(), np.ones(g.n, dtype=bool)
+    # the alive nodes are the finite loads; dead nodes carry -inf
+    loads, alive = init.copy(), g.n
     stages = 0
     while True:
-        failing = alive & (loads >= 1.0)
+        before_alive = loads > -np.inf
+        failing = loads >= 1.0
         idx = np.flatnonzero(failing)
-        recv = alive & ~failing
+        recv = before_alive & ~failing
         all_have_recipient = bool(
             np.all(g.adjacency[np.ix_(np.flatnonzero(recv), idx)].sum(axis=0) > 0)
         ) if idx.size else True
-        before_alive = alive.copy()
-        before_sum = loads.sum()
+        before_sum = loads[before_alive].sum()
         failed, _ = cascade._stage(kernel_adj(g), loads, alive)
         if failed == 0:
             break
+        alive -= failed
         stages += 1
-        # monotone death
-        assert np.all(before_alive | ~alive)
-        assert not alive[idx].any()
-        assert (loads[idx] == 0.0).all()
-        # conservation holds whenever every failing node kept a recipient
+        # monotone death: the finite set shrinks, by the failing nodes
+        after_alive = loads > -np.inf
+        assert np.all(before_alive | ~after_alive)
+        assert (loads[idx] == -np.inf).all()
+        assert np.count_nonzero(after_alive) == alive
+        # conservation over the finite loads holds whenever every failing
+        # node kept a recipient
         if all_have_recipient:
-            assert loads.sum() == pytest.approx(before_sum, rel=1e-9)
+            assert loads[after_alive].sum() == pytest.approx(before_sum, rel=1e-9)
     assert stages <= g.n
     out = run_cascade(g, init)
     assert out.termination_stage == stages
@@ -108,22 +112,24 @@ def test_run_cascade_matches_manual_stepping(seed):
     rng = np.random.default_rng(seed)
     g, loads = random_instance(rng)
     out = run_cascade(g, loads)
-    loads, alive = loads.copy(), np.ones(g.n, dtype=bool)
+    loads, alive = loads.copy(), g.n
     counts = []
     while True:
         failed, _ = cascade._stage(kernel_adj(g), loads, alive)
         if failed == 0:
             break
         counts.append(failed)
+        alive -= failed
     assert out.failures_per_stage == tuple(counts)
     assert out.termination_stage == len(counts)
     assert out.termination_stage <= g.n
 
 
 def _final_loads(g, loads):
-    loads, alive = loads.copy(), np.ones(g.n, dtype=bool)
-    while cascade._stage(kernel_adj(g), loads, alive)[0]:
-        pass
+    """The loads a cascade ends with, failed nodes at -inf."""
+    loads, alive = loads.copy(), g.n
+    while failed := cascade._stage(kernel_adj(g), loads, alive)[0]:
+        alive -= failed
     return loads
 
 
