@@ -14,7 +14,9 @@ loads at or above capacity are the failing nodes and the finite ones the
 alive nodes. On a complete graph a stage adds one shared increment to every
 load in place (-inf plus a share stays -inf); on any other graph it gathers
 its (receivers x failing) edge block with two ``take`` calls into one float
-copy, which gives the degrees and feeds one BLAS matrix-vector product.
+copy, and makes two BLAS matrix-vector products of it: a ones vector times
+the block gives the degrees, exactly, and the block times the failing loads
+over their degrees gives the shares.
 
 ``run_cascade`` checks a graph's loads, then runs the one cascade loop,
 ``_cascade``. Monte Carlo trial ``k`` draws from its own substream,
@@ -37,6 +39,7 @@ import numpy as np
 # generate_er_graph: unused, but perfbench/tracing.py wraps it here
 from .graph import (  # noqa: F401
     GraphTopology,
+    check_count,
     check_graph_args,
     draw_weights,
     generate_er_graph,
@@ -91,14 +94,17 @@ LoadDistributionSpec = DeltaLoads | UniformLoads | BimodalLoads
 
 def init_loads(n: int, spec: LoadDistributionSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw i.i.d. initial loads for ``n`` nodes."""
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
+    check_count("node count", n)
     return spec.sample(n, rng)
 
 
 def apply_disturbance(loads: np.ndarray, d_m: float, rng: np.random.Generator) -> np.ndarray:
-    """Add independent Exponential(mean d_m) shocks to every node."""
+    """Add independent Exponential(mean d_m) shocks to every node of the
+    1-D array-like ``loads``, as a new float64 array."""
     check_disturbance(d_m)
+    loads = np.asarray(loads, dtype=np.float64)
+    if loads.ndim != 1:
+        raise ValueError(f"loads must be 1-D, got shape {loads.shape}")
     _total(loads)  # raises unless the loads and their total are finite
     return loads + rng.exponential(d_m, size=loads.shape)
 
@@ -140,10 +146,12 @@ def _stage(adj: np.ndarray | None, loads: np.ndarray, alive: int) -> tuple[int, 
     (recv,) = (loads > -np.inf).nonzero()
     # recv and idx hold live nodes only, so the block holds every edge that
     # carries load this stage and no edge to a dead node. Columns are taken
-    # first, so a stage copies n*|idx| bytes, not n*|recv|; one float copy
-    # serves the degrees and the matvec, which would cast a bool block itself
+    # first, so a stage copies n*|idx| bytes, not n*|recv|. The block is cast
+    # to float once for two BLAS matrix-vector products: the degrees, which
+    # are exact (integer column sums of a 0/1 block, in any order), and the
+    # shares, whose last digits follow the BLAS kernel's summation order
     block = adj.take(idx, 1).take(recv, 0).astype(np.float64)
-    deg = _sum(block, axis=0)
+    deg = _ones(loads.size)[:recv.size].dot(block)
     dropped = 0.0
     if np.count_nonzero(deg) < deg.size:
         # a column with no recipient is all zero in the block, so a degree
@@ -151,8 +159,16 @@ def _stage(adj: np.ndarray | None, loads: np.ndarray, alive: int) -> tuple[int, 
         orphan = deg == 0.0
         dropped = float(_sum(out[orphan]))
         deg[orphan] = 1.0
-    loads[recv] += block @ (out / deg)
+    loads[recv] += block.dot(out / deg)
     return idx.size, dropped
+
+
+@lru_cache(maxsize=4)
+def _ones(n: int) -> np.ndarray:
+    """Read-only float ones of length ``n``; a prefix sums a block's columns."""
+    ones = np.ones(n)
+    ones.setflags(write=False)
+    return ones
 
 
 def run_cascade(g: GraphTopology, loads: np.ndarray) -> CascadeOutcome:
@@ -174,7 +190,7 @@ def _cascade(adj: np.ndarray | None, loads: np.ndarray, total: float) -> Cascade
     alive = loads.size
     failures: list[int] = []
     dropped_total = 0.0
-    while True:
+    while alive:  # once every node has failed, no stage can fail another
         k, dropped = _stage(adj, loads, alive)
         if k == 0:
             break
@@ -268,18 +284,15 @@ def monte_carlo(
     Trial ``k`` draws once and serves every entry. With ``workers > 1``,
     one pool runs chunks of 8 trial indices, each over every entry.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_count("trials", trials)
     grid = np.ndim(p) > 0
     ps = tuple(p) if grid else (p,)
     check_graph_args(n, ps)
     check_disturbance(d_m)
     if not isinstance(spec, LoadDistributionSpec):
         raise TypeError(f"spec must be a load distribution spec, got {spec!r}")
-    if not (isinstance(master_seed, (int, np.integer)) and master_seed >= 0):
-        raise ValueError(f"master_seed must be an integer >= 0, got {master_seed!r}")
-    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    check_count("master_seed", master_seed, 0)
+    check_count("workers", workers)
     run, ks = partial(_trials, n, ps, spec, d_m, master_seed), range(trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -52,11 +52,17 @@ def generate_er_graph(n: int, p: float, rng: np.random.Generator) -> GraphTopolo
     return g
 
 
+def check_count(name: str, x, low: int = 1) -> None:
+    """Raise ValueError unless ``x`` is an integer (a numpy one too, but not
+    a bool) of at least ``low``."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
+
+
 def check_graph_args(n: int, ps: Sequence[float]) -> None:
-    """Raise ValueError unless ``n >= 1`` and ``ps`` is a nonempty sequence of
-    edge probabilities in [0, 1]."""
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
+    """Raise ValueError unless ``n`` is an integer >= 1 and ``ps`` is a
+    nonempty sequence of edge probabilities in [0, 1]."""
+    check_count("node count", n)
     if not ps:
         raise ValueError("need at least one edge probability, got none")
     for p in ps:

@@ -1,9 +1,12 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from gridcascade import (
     trial_rng,
 )
 from gridcascade import cascade
-from gridcascade.graph import GraphTopology
+from gridcascade.graph import GraphTopology, check_graph_args
 
 
 def k3():
@@ -75,6 +78,14 @@ def test_invalid_load_specs_rejected(spec):
         spec()
 
 
+@pytest.mark.parametrize("n", [0, 5.0, True, np.int64(0)])
+def test_node_count_must_be_an_integer_of_at_least_one(n):
+    with pytest.raises(ValueError, match="node count must be an integer >= 1"):
+        init_loads(n, UniformLoads(), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="node count must be an integer >= 1"):
+        check_graph_args(n, (0.5,))
+
+
 # --- disturbance ----------------------------------------------------------
 
 def test_vanishing_disturbance_leaves_loads_unchanged():
@@ -109,6 +120,21 @@ def test_disturbance_rejects_nonfinite_loads(bad):
 def test_disturbance_rejects_nonpositive_mean():
     with pytest.raises(ValueError):
         apply_disturbance(np.zeros(3), 0.0, np.random.default_rng(0))
+
+
+def test_disturbance_takes_any_1d_array_like_on_the_same_stream():
+    loads = np.array([0.25, 0.5, 0.75])
+    shocked = loads + np.random.default_rng(4).exponential(0.1, size=3)
+    for same in (loads, [0.25, 0.5, 0.75], (0.25, 0.5, 0.75), loads.astype(np.float32)):
+        out = apply_disturbance(same, 0.1, np.random.default_rng(4))
+        assert out.dtype == np.float64
+        assert out.tobytes() == shocked.tobytes()
+
+
+@pytest.mark.parametrize("loads", [np.zeros((2, 3)), [[0.5, 0.5]], np.float64(0.5), 0.5])
+def test_disturbance_rejects_loads_that_are_not_1d(loads):
+    with pytest.raises(ValueError, match="loads must be 1-D"):
+        apply_disturbance(loads, 0.1, np.random.default_rng(0))
 
 
 # --- stepping -------------------------------------------------------------
@@ -307,6 +333,67 @@ def test_stage_matches_the_reference_formulation_byte_for_byte():
         seen["shared"] += shared
         seen["complete"] += g.complete and shared
     assert min(seen.values()) >= 10, seen
+
+
+# Run in a fresh interpreter, since OpenBLAS picks its kernel when it loads:
+# the stage check above, then `.dot` against `@` and the ones-vector degrees
+# against the ufunc column sums on random 0/1 blocks; prints the kernel name.
+KERNEL_CHECK = """
+import ctypes, sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+import test_cascade
+from gridcascade import cascade
+test_cascade.test_stage_matches_the_reference_formulation_byte_for_byte()
+rng = np.random.default_rng(23)
+for _ in range(3000):
+    m, k = rng.integers(1, 300), rng.integers(1, 64)
+    block = (rng.random((m, k)) < rng.random()).astype(np.float64)
+    v = rng.random(k) * rng.choice([1.0, 1e-3, 1e3])
+    assert block.dot(v).tobytes() == (block @ v).tobytes()
+    assert cascade._ones(m).dot(block).tobytes() == np.add.reduce(block, axis=0).tobytes()
+try:  # the loaded library, on Linux
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+except OSError:
+    libs = []
+names = [getattr(ctypes.CDLL(lib), f, None) for lib in libs
+         for f in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                   "openblas_get_corename")]
+corename = next((f for f in names if f is not None), None)
+if corename is not None:
+    corename.restype = ctypes.c_char_p
+    print(corename().decode())
+"""
+
+
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict of its build
+        return ""
+
+
+@pytest.mark.skipif("openblas" not in _blas_name(), reason="numpy's BLAS is not OpenBLAS")
+def test_stage_results_do_not_depend_on_the_openblas_kernel():
+    """The degrees are exact and the share product is the reference's own
+    BLAS call, under an AVX2 kernel and under a pre-AVX one."""
+    src = str(Path(cascade.__file__).parents[1])
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", KERNEL_CHECK, str(Path(__file__).parent), src],
+        env=dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) for core in ("Haswell", "Prescott")]
+    try:
+        outs = [proc.communicate(timeout=120) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    for proc, (out, err) in zip(procs, outs):
+        assert proc.returncode == 0, err
+    kernels = [out.strip() for out, _ in outs]
+    if all(kernels):  # where the kernel's name can be read, the two differ
+        assert kernels[0] != kernels[1], kernels
 
 
 def reference_cascade(loads, total):
@@ -565,6 +652,30 @@ def test_monte_carlo_rejects_a_bad_disturbance_or_spec_before_any_trial(
     monkeypatch.setattr(cascade, "ProcessPoolExecutor", no_trials)
     with pytest.raises(error, match=match):
         monte_carlo(10, 0.5, spec, d_m, 20, **{"master_seed": 1, "workers": workers, **overrides})
+
+
+@pytest.mark.parametrize("arg,value", [
+    ("n", 5.0), ("n", True), ("trials", 2.5), ("trials", True),
+    ("master_seed", True), ("workers", True),
+])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_rejects_a_count_that_is_not_an_integer_before_any_trial(
+        monkeypatch, workers, arg, value):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial or a pool started before the arguments were checked")
+
+    monkeypatch.setattr(cascade, "_trials", no_trials)
+    monkeypatch.setattr(cascade, "ProcessPoolExecutor", no_trials)
+    args = {"n": 10, "p": 0.5, "spec": UniformLoads(), "d_m": 0.1, "trials": 20,
+            "master_seed": 1, "workers": workers, arg: value}
+    with pytest.raises(ValueError, match=f"{'node count' if arg == 'n' else arg} must be an integer"):
+        monte_carlo(**args)
+
+
+def test_monte_carlo_takes_numpy_integer_counts():
+    i = np.int64
+    assert monte_carlo(i(10), 0.5, UniformLoads(), 0.1, i(6), i(3), workers=i(1)) == \
+        monte_carlo(10, 0.5, UniformLoads(), 0.1, 6, 3)
 
 
 # shocked loads that only the per-trial check of the draw guards: one shock

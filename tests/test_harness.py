@@ -324,6 +324,47 @@ def test_meanfield_tables_match_golden_digests(tmp_path, command):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# sha256 of tables whose cells mix types, recorded from the csv.writer
+# serializer: ints and floats in one column (edge_prob 0, 0.5 and 1), enum
+# strings, bools, nan floats in CSV and in JSON, and JSON records of GOLDEN_CFG
+SERIALIZATION_GOLDEN = {
+    "simulate-json": ("simulate", GOLDEN_CFG, "json", {
+        "trials.json": "780e0bf9394be26a12c721c9b21d9abbf976cbf1efc1f478296dd05cafc12014",
+        "aggregate.json": "f38d318604a0648377fc5e44f19c1a43230bf0daa53fbb89e526a9d925defe69",
+    }),
+    "simulate-mixed-types": ("simulate", {
+        "nodes": [10, 20], "edge_prob": [0, 0.5, 1], "load": {"kind": "uniform"},
+        "d_m": 0.1, "trials": 20, "seed": 3,
+    }, "csv", {
+        "trials.csv": "edf91e064b6c71cabddca253c83276ef5cab7693a2d9741d771f9b3f1fafc5d8",
+        "aggregate.csv": "0705b91acc4d9ba390042f87788d68f9f020b7bbd7ddca3197f92d2af8ef6166",
+    }),
+    "bimodal-meanfield-json": ("bimodal-meanfield", MEANFIELD_GOLDEN["bimodal-meanfield"][0],
+                               "json", {
+        "bimodal_trace.json": "85998dd5e32355eca9c29d8ead4777eaa648093c96548223e4286b7a9a5e3eb7",
+    }),
+    "sweep-bimodal-infeasible": ("sweep-bimodal", {
+        "mean": 0.8, "a0_grid": [0.5, 0.7, 0.8], "b0_grid": [0.75, 0.8, 0.9],
+    }, "csv", {
+        "dcrit_fixed_mean.csv": "66c52970507f16515bc82204633b9228fd89a42e410cd8b6331e2683b6d0cde5",
+    }),
+    "dcrit-unimodal-json": ("dcrit", {"model": {"kind": "unimodal", "a0": 0.8}}, "json", {
+        "dcrit.json": "47330b3c60356ebdf8d13f33c9af51a008158f4edee3bf8aae27b6bde70811ea",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIALIZATION_GOLDEN))
+def test_tables_of_mixed_cell_types_match_golden_digests(tmp_path, case):
+    command, cfg, fmt, digests = SERIALIZATION_GOLDEN[case]
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out"),
+                 "--format", fmt]) == 0
+    for table, digest in digests.items():
+        data = (tmp_path / "out" / table).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, table
+
+
 @pytest.mark.parametrize("command", ["meanfield", "bimodal-meanfield"])
 def test_golden_traces_cover_every_verdict_and_branch(tmp_path, command):
     cfg, table, _ = MEANFIELD_GOLDEN[command]
