@@ -14,7 +14,7 @@ from .cascade import (
     run_cascade,
     trial_rng,
 )
-from .graph import GraphTopology, generate_er_graph
+from .graph import generate_er_graph
 from .meanfield import (
     BimodalState,
     Branch,
@@ -42,7 +42,6 @@ __all__ = [
     "CascadeOutcome",
     "DeltaLoads",
     "FixedMeanSweepRow",
-    "GraphTopology",
     "MeanFieldState",
     "NonMonotoneError",
     "ThresholdResult",

@@ -9,17 +9,18 @@ receive load again. The process stops at the first stage with no failures.
 Simultaneously failing nodes do not transfer load to each other. A failing
 node with no alive non-failing neighbor simply drops its load.
 
-The graph is never copied or written. Dead nodes carry load -inf, so the
-loads at or above capacity are the failing nodes and the finite ones the
-alive nodes. On a complete graph a stage adds one shared increment to every
-load in place (-inf plus a share stays -inf); on any other graph it gathers
-its (receivers x failing) edge block with two ``take`` calls into one float
-copy, and makes two BLAS matrix-vector products of it: a ones vector times
-the block gives the degrees, exactly, and the block times the failing loads
-over their degrees gives the shares.
+A graph is an adjacency as ``graph`` defines it: a read-only bool matrix,
+or None for the complete graph. It is never copied or written. Dead nodes
+carry load -inf, so the loads at or above capacity are the failing nodes
+and the finite ones the alive nodes. On a complete graph a stage adds one
+shared increment to every load in place (-inf plus a share stays -inf); on
+any other graph it gathers its (receivers x failing) edge block with two
+``take`` calls into one float copy, and makes two BLAS matrix-vector
+products of it: a ones vector times the block gives the degrees, exactly,
+and the block times the failing loads over their degrees gives the shares.
 
-``run_cascade`` checks a graph's loads, then runs the one cascade loop,
-``_cascade``. Monte Carlo trial ``k`` draws from its own substream,
+``run_cascade`` checks a graph and its loads, then runs the one cascade
+loop, ``_cascade``. Monte Carlo trial ``k`` draws from its own substream,
 ``trial_rng(seed, k)``: first the graph's edge weights, then the loads, then
 the shocks. None of these draws depends on the edge probability, so
 ``monte_carlo`` runs a sequence of edge probabilities trial by trial: one
@@ -38,7 +39,6 @@ import numpy as np
 
 # generate_er_graph: unused, but perfbench/tracing.py wraps it here
 from .graph import (  # noqa: F401
-    GraphTopology,
     check_count,
     check_graph_args,
     draw_weights,
@@ -171,16 +171,18 @@ def _ones(n: int) -> np.ndarray:
     return ones
 
 
-def run_cascade(g: GraphTopology, loads: np.ndarray) -> CascadeOutcome:
-    """Iterate stages on a copy of ``loads`` until none fail; always
-    terminates within n stages."""
+def run_cascade(adj: np.ndarray | None, loads: np.ndarray) -> CascadeOutcome:
+    """Iterate stages on a copy of ``loads`` over adjacency ``adj`` (None:
+    the complete graph) until none fail; always terminates within n stages."""
     loads = np.array(loads, dtype=np.float64)
-    if loads.shape != (g.n,):
-        raise ValueError(f"expected {g.n} loads, got shape {loads.shape}")
+    if loads.ndim != 1:
+        raise ValueError(f"loads must be 1-D, got shape {loads.shape}")
+    if adj is not None and adj.shape != (loads.size,) * 2:
+        raise ValueError(f"adjacency of shape {adj.shape} does not match {loads.size} loads")
     total = _total(loads)
     if np.minimum.reduce(loads, initial=0.0) < 0:
         raise ValueError("loads must be nonnegative")
-    return _cascade(None if g.complete else g.adjacency, loads, total)
+    return _cascade(adj, loads, total)
 
 
 def _cascade(adj: np.ndarray | None, loads: np.ndarray, total: float) -> CascadeOutcome:
@@ -282,7 +284,8 @@ def monte_carlo(
     Given a sequence of edge probabilities, return one ``AggregateStats``
     per entry, in order, each equal to that of a call at the entry alone.
     Trial ``k`` draws once and serves every entry. With ``workers > 1``,
-    one pool runs chunks of 8 trial indices, each over every entry.
+    one pool runs chunks of 8 trial indices, each over every entry, with
+    at most one worker per chunk; a single chunk runs in this process.
     """
     check_count("trials", trials)
     grid = np.ndim(p) > 0
@@ -294,6 +297,8 @@ def monte_carlo(
     check_count("master_seed", master_seed, 0)
     check_count("workers", workers)
     run, ks = partial(_trials, n, ps, spec, d_m, master_seed), range(trials)
+    # a pool forks all its workers at the first submit: one per chunk at most
+    workers = min(workers, (trials + 7) // 8)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(run, [ks[i:i + 8] for i in range(0, trials, 8)])  # in order

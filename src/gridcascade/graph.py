@@ -1,55 +1,37 @@
 """Random graph generation.
 
 Nodes are generators that have agreed to share each other's load on failure.
-Every graph is immutable: its adjacency matrix is read-only, so a cascade
-can run over it without copying it. A generated complete graph holds its
-adjacency in O(n) memory, as a strided view over 2n - 1 bytes.
+A graph is its adjacency: a read-only symmetric bool matrix with a zero
+diagonal, so a cascade can run over it without copying it, or None for the
+complete graph, which needs no matrix. Only ``threshold_adjacency`` makes
+that None, at ``p == 1``; a hand-built adjacency is always an array,
+whatever its edges.
 
 An Erdős–Rényi graph is drawn in two steps: ``draw_weights`` draws one
 uniform per node pair into a symmetric matrix, and ``threshold_adjacency``
-keeps the pairs below ``p``, or returns None for the complete graph at
-``p == 1``. The weights do not depend on ``p``, so graphs at several edge
-probabilities can share one draw; ``generate_er_graph`` is the two steps at
-one ``p``, wrapped in a ``GraphTopology``.
+keeps the pairs below ``p``. The weights do not depend on ``p``, so graphs
+at several edge probabilities can share one draw; ``generate_er_graph`` is
+the two steps at one ``p``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
-@dataclass(frozen=True)
-class GraphTopology:
-    """Symmetric unweighted graph on ``n`` nodes.
-
-    ``edge_prob`` records the probability used at generation time and is
-    metadata only. ``complete`` is set only by ``generate_er_graph`` at
-    ``p == 1``; a hand-built graph is never flagged, whatever its adjacency.
-    """
-
-    n: int
-    adjacency: np.ndarray  # bool, shape (n, n), symmetric, zero diagonal
-    edge_prob: float
-    complete: bool = field(default=False, init=False)
-
-
-def generate_er_graph(n: int, p: float, rng: np.random.Generator) -> GraphTopology:
+def generate_er_graph(n: int, p: float, rng: np.random.Generator) -> np.ndarray | None:
     """Draw an Erdős–Rényi graph: each unordered pair is an edge w.p. ``p``.
+    Its read-only adjacency, or None at ``p == 1``, the complete graph.
 
     Deterministic given the generator state. The generator always ends in
     the state that drawing ``n * n`` uniforms leaves, but at ``p == 1`` a
     PCG64 generator is advanced past them instead of drawing them.
     """
     check_graph_args(n, (p,))
-    adj = threshold_adjacency(p, draw_weights(n, (p,), rng))
-    g = GraphTopology(n=n, adjacency=_complete_adjacency(n) if adj is None else adj, edge_prob=p)
-    object.__setattr__(g, "complete", adj is None)
-    return g
+    return threshold_adjacency(p, draw_weights(n, (p,), rng))
 
 
 def check_count(name: str, x, low: int = 1) -> None:
@@ -121,15 +103,6 @@ def _skip_doubles(bit_generator: np.random.PCG64, count: int) -> None:
     if state["has_uint32"] or state["uinteger"]:
         bit_generator.state = {**bit_generator.state, "has_uint32": state["has_uint32"],
                                "uinteger": state["uinteger"]}
-
-
-@lru_cache(maxsize=4)
-def _complete_adjacency(n: int) -> np.ndarray:
-    """Read-only K_n adjacency over 2n - 1 bytes, shared by graphs: row i
-    is ``ramp[n-1-i : 2n-1-i]``, so its only False falls on column i."""
-    ramp = np.ones(2 * n - 1, dtype=bool)
-    ramp[n - 1] = False
-    return as_strided(ramp[n - 1:], shape=(n, n), strides=(-1, 1), writeable=False)
 
 
 _BLOCK = 256  # rows and columns of one block of ``draw_weights``' symmetrization

@@ -203,9 +203,10 @@ class OutputWriter:
         self.out_dir = out_dir
         self.fmt = fmt
         self.files: list[str] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_table(self, name: str, header: list[str], rows: list[tuple]) -> Path:
+        # made here, not up front: a command that fails first leaves no directory
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / f"{name}.{self.fmt}"
         if self.fmt == "csv":
             with open(path, "w", newline="") as fh:

@@ -68,6 +68,8 @@ def find_d_critical(
     reports whether any probe, scan or bisection, came back Undetermined;
     ``evaluations`` counts the levels evaluated.
     """
+    if not isinstance(model, MeanFieldModel):
+        raise TypeError(f"model must be a DeltaLoads or a BimodalLoads, got {model!r}")
     if not 0.0 < tol_d < math.inf:
         raise ValueError(f"tol_d must be finite and > 0, got {tol_d}")
     probes: dict[float, Verdict] = {}

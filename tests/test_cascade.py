@@ -23,24 +23,29 @@ from gridcascade import (
     trial_rng,
 )
 from gridcascade import cascade
-from gridcascade.graph import GraphTopology, check_graph_args
+from gridcascade.graph import check_graph_args
 
 
 def k3():
     return generate_er_graph(3, 1.0, np.random.default_rng(0))
 
 
-def kernel_adj(g):
-    """The adjacency ``cascade._stage`` steps ``g`` on: None for a complete graph."""
-    return None if g.complete else g.adjacency
+def read_only(adj):
+    adj.setflags(write=False)
+    return adj
+
+
+def path3():
+    """The hand-built path 0-1-2."""
+    return read_only(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool))
 
 
 def run_trial(n, p, spec, d_m, rng):
     """The reference definition of one trial: a fresh graph, fresh loads and
     one disturbance, all drawn from ``rng``, then the cascade."""
-    g = generate_er_graph(n, p, rng)
+    adj = generate_er_graph(n, p, rng)
     loads = apply_disturbance(init_loads(n, spec, rng), d_m, rng)
-    return run_cascade(g, loads)
+    return run_cascade(adj, loads)
 
 
 # --- initial loads --------------------------------------------------------
@@ -140,24 +145,24 @@ def test_disturbance_rejects_loads_that_are_not_1d(loads):
 # --- stepping -------------------------------------------------------------
 
 def test_single_failure_splits_load_equally():
-    g, loads = k3(), np.array([1.2, 0.3, 0.2])
-    assert cascade._stage(kernel_adj(g), loads, 3)[0] == 1
+    adj, loads = k3(), np.array([1.2, 0.3, 0.2])
+    assert cascade._stage(adj, loads, 3)[0] == 1
     assert np.allclose(loads, [-np.inf, 0.9, 0.8])
-    assert cascade._stage(kernel_adj(g), loads, 2)[0] == 0
+    assert cascade._stage(adj, loads, 2)[0] == 0
 
 
 def test_simultaneous_failures_do_not_transfer_to_each_other():
-    g, loads = k3(), np.array([1.2, 0.5, 0.6])
-    assert cascade._stage(kernel_adj(g), loads, 3)[0] == 1
+    adj, loads = k3(), np.array([1.2, 0.5, 0.6])
+    assert cascade._stage(adj, loads, 3)[0] == 1
     assert np.allclose(loads, [-np.inf, 1.1, 1.2])
     # nodes 1 and 2 fail together with no alive neighbor left: loads dropped
-    assert cascade._stage(kernel_adj(g), loads, 2)[0] == 2
+    assert cascade._stage(adj, loads, 2)[0] == 2
     assert (loads == -np.inf).all()
 
 
 def test_stable_state_is_unchanged():
     loads = np.array([0.4, 0.5, 0.6])
-    assert cascade._stage(kernel_adj(k3()), loads, 3) == (0, 0.0)
+    assert cascade._stage(k3(), loads, 3) == (0, 0.0)
     assert loads.tolist() == [0.4, 0.5, 0.6]
 
 
@@ -182,29 +187,41 @@ def test_run_cascade_rejects_nonfinite_loads(bad):
 
 
 def test_hand_built_incomplete_graph_never_takes_the_shift_path():
-    # path 0-1-2 labelled edge_prob=1.0: node 0's load all goes to node 1
-    adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
-    g = GraphTopology(3, adj, 1.0)
+    # a hand-built adjacency is an array, never None: node 0's load all goes
+    # to node 1
     loads = np.array([1.2, 0.3, 0.2])
-    assert cascade._stage(kernel_adj(g), loads, 3)[0] == 1
+    assert cascade._stage(path3(), loads, 3)[0] == 1
     assert np.allclose(loads, [-np.inf, 1.5, 0.2])
-    assert run_cascade(g, np.array([1.2, 0.3, 0.2])).failures_per_stage == (1, 1, 1)
+    assert run_cascade(path3(), np.array([1.2, 0.3, 0.2])).failures_per_stage == (1, 1, 1)
 
 
 @pytest.mark.parametrize("p", [0.3, 1.0])
 def test_cascade_leaves_the_graph_unchanged(p):
-    g = generate_er_graph(40, p, np.random.default_rng(4))
-    before = g.adjacency.copy()
+    adj = generate_er_graph(40, p, np.random.default_rng(4))
+    if adj is None:  # the complete graph, here hand-built
+        adj = read_only(~np.eye(40, dtype=bool))
+    before = adj.copy()
     loads = np.random.default_rng(5).random(40) * 1.5
-    assert run_cascade(g, loads).termination_stage > 0
-    assert (g.adjacency == before).all()
-    assert not g.adjacency.flags.writeable
+    assert run_cascade(adj, loads).termination_stage > 0
+    assert (adj == before).all()
+    assert not adj.flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_wrong_number_of_loads_is_rejected(n):
-    with pytest.raises(ValueError, match="expected 3 loads"):
-        run_cascade(k3(), np.full(n, 0.5))
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match"):
+        run_cascade(path3(), np.full(n, 0.5))
+
+
+@pytest.mark.parametrize("adj,loads,message", [
+    (None, np.full((2, 2), 0.5), "1-D"),
+    (np.zeros((3, 3), dtype=bool), np.full((3, 1), 0.5), "1-D"),
+    (np.zeros((3, 4), dtype=bool), np.full(3, 0.5), r"\(3, 4\) does not match"),
+    (np.zeros(3, dtype=bool), np.full(3, 0.5), r"\(3,\) does not match"),
+])
+def test_run_cascade_rejects_misshapen_input(adj, loads, message):
+    with pytest.raises(ValueError, match=message):
+        run_cascade(adj, loads)
 
 
 def test_run_cascade_rejects_negative_loads():
@@ -215,30 +232,29 @@ def test_run_cascade_rejects_negative_loads():
 def test_overflowing_total_load_is_rejected():
     # every load is finite, but their total overflows to inf, which made the
     # survivor fraction and final load NaN
-    g = GraphTopology(3, np.zeros((3, 3), dtype=bool), 0.0)
     loads = np.array([1e308, 1e308, 0.5])
     with pytest.raises(ValueError, match="total load"):
-        run_cascade(g, loads)
+        run_cascade(np.zeros((3, 3), dtype=bool), loads)
 
 
 def test_run_cascade_leaves_the_callers_loads_unchanged():
-    g = generate_er_graph(30, 0.3, np.random.default_rng(2))
+    adj = generate_er_graph(30, 0.3, np.random.default_rng(2))
     loads = np.random.default_rng(3).random(30) * 1.5
     before = loads.copy()
-    assert run_cascade(g, loads).termination_stage > 0
+    assert run_cascade(adj, loads).termination_stage > 0
     assert (loads == before).all()
 
 
 def test_isolated_failing_node_drops_load():
-    g = generate_er_graph(2, 0.0, np.random.default_rng(0))
-    out = run_cascade(g, np.array([1.5, 0.5]))
+    adj = generate_er_graph(2, 0.0, np.random.default_rng(0))
+    out = run_cascade(adj, np.array([1.5, 0.5]))
     assert out.survivor_fraction == pytest.approx(0.25)
     # the final load, f times the initial 2.0, is node 1's 0.5
     assert out.survivor_fraction * 2.0 == pytest.approx(0.5)
 
 
 def test_orphan_drops_its_load_while_a_neighbor_of_the_same_stage_shares():
-    # edges 0-1, 0-2, 0-3, 0-4, 3-4, on a graph never flagged complete.
+    # edges 0-1, 0-2, 0-3, 0-4, 3-4, on a hand-built graph.
     # Stage 1: node 4 fails and gives 0.75 to each of nodes 0 and 3. Stage 2:
     # both fail; node 0 splits 1.0 between nodes 1 and 2, while node 3 has
     # only node 0 (failing) and node 4 (dead) and drops its 1.25.
@@ -246,16 +262,15 @@ def test_orphan_drops_its_load_while_a_neighbor_of_the_same_stage_shares():
     for i, j in [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4)]:
         adj[i, j] = adj[j, i] = True
     adj.setflags(write=False)
-    g = GraphTopology(5, adj, 0.5)
     loads = np.array([0.25, 0.25, 0.25, 0.5, 1.5])
     staged = loads.copy()
-    assert cascade._stage(kernel_adj(g), staged, 5) == (1, 0.0)
+    assert cascade._stage(adj, staged, 5) == (1, 0.0)
     assert staged.tolist() == [1.0, 0.25, 0.25, 1.25, -np.inf]
-    assert cascade._stage(kernel_adj(g), staged, 4) == (2, 1.25)
+    assert cascade._stage(adj, staged, 4) == (2, 1.25)
     assert staged.tolist() == [-np.inf, 0.75, 0.75, -np.inf, -np.inf]
     assert loads.sum() == 2.75
     assert staged[staged > -np.inf].sum() == 2.75 - 1.25
-    out = run_cascade(g, loads)
+    out = run_cascade(adj, loads)
     assert out.failures_per_stage == (1, 2)
     assert out.survivor_fraction == 1.5 / 2.75
 
@@ -291,18 +306,16 @@ def reference_stage(adj, loads, alive):
 
 
 def stage_cases(rng):
-    """(graph, loads, alive) states in the masked formulation: n from 1 to
+    """(adjacency, loads, alive) states in the masked formulation: n from 1 to
     2,000, dead nodes at load 0, complete graphs, sparse graphs with orphan
     columns, single failures and stages that leave no receiver."""
     for n in np.unique(np.geomspace(1, 2000, 40).astype(int)):
         for p in (0.0, min(2.0 / n, 1.0), 0.3, 1.0):
             if p == 1.0:
-                g = generate_er_graph(int(n), p, rng)
+                adj = generate_er_graph(int(n), p, rng)
             else:
                 upper = np.triu(rng.random((n, n), dtype=np.float32) < p, 1)
-                adj = upper | upper.T
-                adj.setflags(write=False)
-                g = GraphTopology(int(n), adj, p)
+                adj = read_only(upper | upper.T)
             for kind in ("mixed", "one", "all", "mixed"):
                 alive = rng.random(n) >= rng.choice([0.0, 0.3, 0.9])
                 loads = rng.random(n) * rng.choice([1.02, 1.3, 3.0])
@@ -312,17 +325,17 @@ def stage_cases(rng):
                 elif kind == "all":
                     loads += 1.0
                 loads[~alive] = 0.0
-                yield g, loads, alive
+                yield adj, loads, alive
 
 
 def test_stage_matches_the_reference_formulation_byte_for_byte():
     seen = {"one": 0, "no_receiver": 0, "orphan": 0, "shared": 0, "complete": 0}
-    for g, loads, alive in stage_cases(np.random.default_rng(13)):
+    for adj, loads, alive in stage_cases(np.random.default_rng(13)):
         # the same state with dead nodes at -inf
         got_loads = np.where(alive, loads, -np.inf)
         ref_loads, ref_alive = loads.copy(), alive.copy()
-        got = cascade._stage(kernel_adj(g), got_loads, int(np.count_nonzero(alive)))
-        ref = reference_stage(kernel_adj(g), ref_loads, ref_alive)
+        got = cascade._stage(adj, got_loads, int(np.count_nonzero(alive)))
+        ref = reference_stage(adj, ref_loads, ref_alive)
         assert repr(got) == repr(ref)
         assert (got_loads > -np.inf).tobytes() == ref_alive.tobytes()
         assert got_loads[ref_alive].tobytes() == ref_loads[ref_alive].tobytes()
@@ -331,7 +344,7 @@ def test_stage_matches_the_reference_formulation_byte_for_byte():
         seen["no_receiver"] += got[0] > 0 and not ref_alive.any()
         seen["orphan"] += got[1] > 0.0
         seen["shared"] += shared
-        seen["complete"] += g.complete and shared
+        seen["complete"] += adj is None and shared
     assert min(seen.values()) >= 10, seen
 
 
@@ -451,11 +464,11 @@ STAGE_GOLDEN = {
 def stepped_trial(n, p, rng):
     """``run_trial``'s outcome fields with the initial and final load totals,
     stepping the cascade stage by stage and summing the dropped load."""
-    g = generate_er_graph(n, p, rng)
+    adj = generate_er_graph(n, p, rng)
     loads = apply_disturbance(init_loads(n, UniformLoads(), rng), 0.1, rng)
     total, dropped = float(np.add.reduce(loads)), 0.0
     alive, failures = n, []
-    while (step := cascade._stage(kernel_adj(g), loads, alive))[0]:
+    while (step := cascade._stage(adj, loads, alive))[0]:
         failures.append(step[0])
         alive -= step[0]
         dropped += step[1]
@@ -520,6 +533,35 @@ def test_monte_carlo_is_deterministic_across_worker_counts():
     assert ([o.survivor_fraction for o in serial.outcomes]
             == [o.survivor_fraction for o in parallel.outcomes])
     assert serial.prob_no_outage == parallel.prob_no_outage
+
+
+@pytest.mark.parametrize("trials,workers,pools", [
+    (1, 4, []), (8, 64, []), (9, 64, [2]), (20, 64, [3]), (20, 2, [2]), (24, 3, [3]),
+])
+def test_a_pool_starts_at_most_one_worker_per_chunk(monkeypatch, trials, workers, pools):
+    # a process pool forks every worker it is given at its first submit, so
+    # more workers than chunks of 8 trials would fork processes that do nothing
+    started = []
+
+    class InProcessPool:
+        """Records its worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    serial = monte_carlo(20, (0.3, 1.0), UniformLoads(), 0.1, trials, 4)
+    monkeypatch.setattr(cascade, "ProcessPoolExecutor", InProcessPool)
+    assert monte_carlo(20, (0.3, 1.0), UniformLoads(), 0.1, trials, 4, workers=workers) == serial
+    assert started == pools
 
 
 # (n, p, master seed) points run back to back: a seed switch between them
@@ -689,7 +731,7 @@ def test_monte_carlo_takes_numpy_integer_counts():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_monte_carlo_rejects_shocked_loads_that_are_not_finite(workers, n, d_m, p, match):
     with pytest.raises(ValueError, match=match):
-        monte_carlo(n, p, UniformLoads(), d_m, 3, 0, workers=workers)
+        monte_carlo(n, p, UniformLoads(), d_m, 9, 0, workers=workers)  # 2 chunks: a pool
 
 
 def test_single_p_trials_peak_like_one_draw():

@@ -3,38 +3,34 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.lib.array_utils import byte_bounds
 
 from gridcascade import generate_er_graph, trial_rng
-from gridcascade.graph import GraphTopology, draw_weights, threshold_adjacency
+from gridcascade.graph import draw_weights, threshold_adjacency
 
 
-def degree(g):
-    return g.adjacency.sum(axis=0)
-
-
-def edge_count(g):
-    return int(g.adjacency.sum()) // 2
+def edge_count(adj):
+    return int(adj.sum()) // 2
 
 
 def test_p_one_gives_complete_graph():
-    g = generate_er_graph(4, 1.0, np.random.default_rng(0))
-    assert edge_count(g) == 6
-    assert not g.adjacency.diagonal().any()
-    assert (g.adjacency == g.adjacency.T).all()
+    # the complete graph is None, at p == 1 only: just below, it is a matrix
+    assert generate_er_graph(4, 1.0, np.random.default_rng(0)) is None
+    adj = generate_er_graph(4, np.nextafter(1.0, 0.0), np.random.default_rng(0))
+    assert edge_count(adj) == 6
+    assert not adj.diagonal().any()
+    assert (adj == adj.T).all()
 
 
 def test_p_zero_gives_empty_graph():
-    g = generate_er_graph(4, 0.0, np.random.default_rng(0))
-    assert edge_count(g) == 0
+    assert edge_count(generate_er_graph(4, 0.0, np.random.default_rng(0))) == 0
 
 
 def test_edge_count_matches_binomial_moments():
     # C(1000,2) Bernoulli(0.5) trials: mean 249750, sd sqrt(499500*0.25)
-    g = generate_er_graph(1000, 0.5, np.random.default_rng(12345))
+    adj = generate_er_graph(1000, 0.5, np.random.default_rng(12345))
     mean = 0.5 * math.comb(1000, 2)
     sd = math.sqrt(math.comb(1000, 2) * 0.25)
-    assert abs(edge_count(g) - mean) < 4 * sd
+    assert abs(edge_count(adj) - mean) < 4 * sd
 
 
 @pytest.mark.parametrize("n,p", [(0, 0.5), (3, -0.1), (3, 1.5)])
@@ -44,9 +40,9 @@ def test_generation_rejects_bad_parameters(n, p):
 
 
 def test_same_seed_reproduces_adjacency_exactly():
-    g1 = generate_er_graph(200, 0.3, np.random.default_rng(99))
-    g2 = generate_er_graph(200, 0.3, np.random.default_rng(99))
-    assert (g1.adjacency == g2.adjacency).all()
+    adj1 = generate_er_graph(200, 0.3, np.random.default_rng(99))
+    adj2 = generate_er_graph(200, 0.3, np.random.default_rng(99))
+    assert (adj1 == adj2).all()
 
 
 def _pcg64_with_pending_half():
@@ -75,12 +71,12 @@ def _pcg64_with_spent_half():
 @pytest.mark.parametrize("n", [1, 2, 37])
 def test_p_one_leaves_the_stream_as_the_draw_does(make_rng, n):
     rng, ref = make_rng(), make_rng()
-    g = generate_er_graph(n, 1.0, rng)
-    # the drawing code, spelled out
+    assert generate_er_graph(n, 1.0, rng) is None
+    # the drawing code, spelled out: at p == 1 it draws K_n
     adj = ref.random((n, n)) < 1.0
     adj &= ~np.tri(n, dtype=bool)
     adj |= adj.T
-    assert (g.adjacency == adj).all()
+    assert (adj == ~np.eye(n, dtype=bool)).all()
     np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
     for draw in (lambda r: r.integers(0, 2**31 - 1, size=5, dtype=np.int32),
                  lambda r: r.random(5),
@@ -90,20 +86,23 @@ def test_p_one_leaves_the_stream_as_the_draw_does(make_rng, n):
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_generated_adjacency_is_read_only(p):
-    g = generate_er_graph(5, p, np.random.default_rng(0))
-    assert not g.adjacency.flags.writeable
+    adj = generate_er_graph(5, p, np.random.default_rng(0))
+    if p == 1.0:  # the complete graph has no matrix to write
+        assert adj is None
+        return
+    assert not adj.flags.writeable
     with pytest.raises(ValueError):
-        g.adjacency[0, 1] = True
+        adj[0, 1] = True
 
 
 def test_only_generated_p_one_graphs_are_flagged_complete():
+    # the flag is the None adjacency, which only thresholding at p == 1 returns
     rng = np.random.default_rng(0)
-    assert generate_er_graph(5, 1.0, rng).complete
-    assert not generate_er_graph(5, 0.999, rng).complete
-    complete_adj = ~np.eye(3, dtype=bool)
-    assert not GraphTopology(3, complete_adj, 1.0).complete
-    with pytest.raises(TypeError):
-        GraphTopology(3, complete_adj, 1.0, complete=True)
+    assert generate_er_graph(5, 1.0, rng) is None
+    assert generate_er_graph(5, 0.999, rng) is not None
+    weights = draw_weights(5, (0.5,), rng)
+    assert threshold_adjacency(1.0, weights) is None
+    assert threshold_adjacency(np.nextafter(1.0, 0.0), weights) is not None
 
 
 COMPLETE_RNGS = {
@@ -115,20 +114,14 @@ COMPLETE_RNGS = {
 @pytest.mark.parametrize("make_rng", COMPLETE_RNGS.values(), ids=COMPLETE_RNGS)
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
 def test_complete_adjacency_is_k_n(make_rng, n):
-    g = generate_er_graph(n, 1.0, make_rng())
-    assert g.adjacency.shape == (n, n) and g.adjacency.dtype == bool
-    assert (g.adjacency == ~np.eye(n, dtype=bool)).all()
-    assert (degree(g) == n - 1).all()
-    assert edge_count(g) == n * (n - 1) // 2
-    with pytest.raises(ValueError):
-        g.adjacency[0, 0] = True
-
-
-@pytest.mark.parametrize("make_rng", COMPLETE_RNGS.values(), ids=COMPLETE_RNGS)
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
-def test_complete_adjacency_spans_2n_minus_1_bytes(make_rng, n):
-    low, high = byte_bounds(generate_er_graph(n, 1.0, make_rng()).adjacency)
-    assert high - low == 2 * n - 1
+    # None at p == 1 stands for what thresholding a draw at 1 keeps: every
+    # uniform is below 1, so every pair but the diagonal of 2, which is K_n
+    rng = make_rng()
+    assert generate_er_graph(n, 1.0, rng) is None
+    adj = draw_weights(n, (0.5,), rng) < 1.0
+    assert (adj == ~np.eye(n, dtype=bool)).all()
+    assert (adj.sum(axis=0) == n - 1).all()
+    assert edge_count(adj) == n * (n - 1) // 2
 
 
 def _drawn_adjacency(rng, n, p):
@@ -151,12 +144,13 @@ def test_one_draw_thresholds_to_each_generated_graph(n, ps):
         adj = threshold_adjacency(p, weights)
         fresh, spelled = _pcg64_with_pending_half(), _pcg64_with_pending_half()
         expected = generate_er_graph(n, p, fresh)
-        assert (adj is None) == expected.complete
-        if adj is None:  # the complete graph, which the generated graph holds
-            adj = expected.adjacency
-        assert adj.tobytes() == expected.adjacency.tobytes()
-        assert adj.tobytes() == _drawn_adjacency(spelled, n, p).tobytes()
-        assert not adj.flags.writeable
+        drawn = _drawn_adjacency(spelled, n, p)
+        if adj is None:  # the complete graph, which the spelled draw gives at p == 1
+            assert expected is None and p == 1.0
+            assert drawn.tobytes() == (~np.eye(n, dtype=bool)).tobytes()
+        else:
+            assert adj.tobytes() == expected.tobytes() == drawn.tobytes()
+            assert not adj.flags.writeable
         np.testing.assert_equal(rng.bit_generator.state, fresh.bit_generator.state)
         np.testing.assert_equal(rng.bit_generator.state, spelled.bit_generator.state)
     assert (weights is None) == all(p == 1.0 for p in ps)
@@ -168,9 +162,9 @@ def test_draw_memory_peaks_at_one_float_and_one_bool_matrix():
     n, rng = 1000, np.random.default_rng(5)
     tracemalloc.start()
     try:
-        g = generate_er_graph(n, 0.5, rng)
+        adj = generate_er_graph(n, 0.5, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.adjacency.shape == (n, n)
+    assert adj.shape == (n, n)
     assert peak <= 1.2 * 8 * n * n

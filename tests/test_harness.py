@@ -463,6 +463,8 @@ MF_CFG = {"a0": 0.8, "d_m": 0.05}
     # valid numbers whose shocks, or whose total load, overflow float64
     ("simulate", dict(SIM_CFG, nodes=100, d_m=1e308), "d_m"),
     ("simulate", dict(SIM_CFG, nodes=1000, edge_prob=0, d_m=1e306), "d_m"),
+    # valid keys, but the command finds nothing to write
+    ("sweep-bimodal", {"mean": 0.95, "a0_grid": [0.5], "b0_grid": [0.6]}, "no feasible"),
 ])
 def test_bad_config_exits_1_before_any_table(tmp_path, capsys, command, cfg, message):
     path = write_config(tmp_path, "cfg.json", cfg)
@@ -557,10 +559,16 @@ def test_help_exits_0():
     assert exc.value.code == 0
 
 
+def readme_block(pattern: str) -> str:
+    """The body of the first code block in README.md whose opening fence,
+    with what comes before it, matches ``pattern``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(pattern + r"\n(.*?)```", readme, re.S).group(1)
+
+
 def readme_config_examples() -> dict:
     """The config example of each subcommand in README's jsonc block."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    block = readme_block("```jsonc")
     texts, command = {}, None
     for line in block.splitlines():
         heading = re.match(r"// ([\w-]+):", line)
@@ -576,6 +584,11 @@ def test_readme_config_examples_pass_validation():
     assert sorted(examples) == sorted(harness.COMMANDS)
     for command, cfg in examples.items():
         harness.validate(command, cfg)
+
+
+def test_readme_library_quick_start_runs():
+    block = readme_block(r"## Library quick start\s+```python")
+    exec(compile(block, "README.md", "exec"), {})
 
 
 # A small valid config per subcommand; the fuzz mutates one key of it.

@@ -27,7 +27,6 @@ from gridcascade import (
 )
 import gridcascade
 from gridcascade import cascade, harness, threshold
-from gridcascade.graph import GraphTopology
 from gridcascade.meanfield import (
     BOTH_ALIVE,
     LOWER_ONLY,
@@ -40,22 +39,18 @@ from gridcascade.threshold import model_verdict
 
 
 def random_instance(rng):
+    """An adjacency and loads; ``p < 1``, so the adjacency is a matrix."""
     n = int(rng.integers(2, 101))
     p = float(rng.random())
-    g = generate_er_graph(n, p, rng)
+    adj = generate_er_graph(n, p, rng)
     # scale uniform loads so a decent share of instances start over capacity
     loads = rng.random(n) * float(rng.uniform(0.8, 1.6))
-    return g, loads
+    return adj, loads
 
 
-def kernel_adj(g):
-    """The adjacency ``cascade._stage`` steps ``g`` on: None for a complete graph."""
-    return None if g.complete else g.adjacency
-
-
-def check_invariants(g, init):
+def check_invariants(adj, init):
     # the alive nodes are the finite loads; dead nodes carry -inf
-    loads, alive = init.copy(), g.n
+    loads, alive = init.copy(), init.size
     stages = 0
     while True:
         before_alive = loads > -np.inf
@@ -63,10 +58,10 @@ def check_invariants(g, init):
         idx = np.flatnonzero(failing)
         recv = before_alive & ~failing
         all_have_recipient = bool(
-            np.all(g.adjacency[np.ix_(np.flatnonzero(recv), idx)].sum(axis=0) > 0)
+            np.all(adj[np.ix_(np.flatnonzero(recv), idx)].sum(axis=0) > 0)
         ) if idx.size else True
         before_sum = loads[before_alive].sum()
-        failed, _ = cascade._stage(kernel_adj(g), loads, alive)
+        failed, _ = cascade._stage(adj, loads, alive)
         if failed == 0:
             break
         alive -= failed
@@ -80,8 +75,8 @@ def check_invariants(g, init):
         # node kept a recipient
         if all_have_recipient:
             assert loads[after_alive].sum() == pytest.approx(before_sum, rel=1e-9)
-    assert stages <= g.n
-    out = run_cascade(g, init)
+    assert stages <= init.size
+    out = run_cascade(adj, init)
     assert out.termination_stage == stages
 
 
@@ -89,16 +84,16 @@ def check_invariants(g, init):
 def test_randomized_cascades_respect_invariants(master_seed):
     rng = np.random.default_rng(master_seed)
     for _ in range(100):
-        g, loads = random_instance(rng)
-        check_invariants(g, loads)
+        adj, loads = random_instance(rng)
+        check_invariants(adj, loads)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_hypothesis_fuzzed_instances(seed):
     rng = np.random.default_rng(seed)
-    g, loads = random_instance(rng)
-    check_invariants(g, loads)
+    adj, loads = random_instance(rng)
+    check_invariants(adj, loads)
 
 
 def test_complete_graph_dichotomy_holds_for_every_trial():
@@ -110,25 +105,25 @@ def test_complete_graph_dichotomy_holds_for_every_trial():
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_run_cascade_matches_manual_stepping(seed):
     rng = np.random.default_rng(seed)
-    g, loads = random_instance(rng)
-    out = run_cascade(g, loads)
-    loads, alive = loads.copy(), g.n
+    adj, loads = random_instance(rng)
+    out = run_cascade(adj, loads)
+    loads, alive = loads.copy(), loads.size
     counts = []
     while True:
-        failed, _ = cascade._stage(kernel_adj(g), loads, alive)
+        failed, _ = cascade._stage(adj, loads, alive)
         if failed == 0:
             break
         counts.append(failed)
         alive -= failed
     assert out.failures_per_stage == tuple(counts)
     assert out.termination_stage == len(counts)
-    assert out.termination_stage <= g.n
+    assert out.termination_stage <= loads.size
 
 
-def _final_loads(g, loads):
+def _final_loads(adj, loads):
     """The loads a cascade ends with, failed nodes at -inf."""
-    loads, alive = loads.copy(), g.n
-    while failed := cascade._stage(kernel_adj(g), loads, alive)[0]:
+    loads, alive = loads.copy(), loads.size
+    while failed := cascade._stage(adj, loads, alive)[0]:
         alive -= failed
     return loads
 
@@ -143,14 +138,14 @@ def _final_loads(g, loads):
 )
 def test_complete_graph_shift_path_matches_general_path(n, spec, d_m, seed):
     rng = np.random.default_rng(seed)
-    g = generate_er_graph(n, 1.0, rng)
+    assert generate_er_graph(n, 1.0, rng) is None
     loads = apply_disturbance(init_loads(n, spec, rng), d_m, rng)
-    # the same adjacency, hand-built and so not flagged complete
-    general = GraphTopology(n, g.adjacency, 1.0)
-    assert g.complete and not general.complete
-    assert run_cascade(g, loads) == run_cascade(general, loads)
+    # K_n, hand-built and so an array, which takes the general path
+    general = ~np.eye(n, dtype=bool)
+    general.setflags(write=False)
+    assert run_cascade(None, loads) == run_cascade(general, loads)
     # the shift and the matvec sum in different orders
-    np.testing.assert_allclose(_final_loads(g, loads), _final_loads(general, loads),
+    np.testing.assert_allclose(_final_loads(None, loads), _final_loads(general, loads),
                                rtol=4 * np.finfo(np.float64).eps, atol=0.0)
 
 

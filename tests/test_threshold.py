@@ -7,6 +7,7 @@ from gridcascade import (
     DeltaLoads,
     NonMonotoneError,
     ThresholdResult,
+    UniformLoads,
     Verdict,
     coarse_scan,
     find_d_critical,
@@ -187,6 +188,13 @@ def test_search_without_a_failing_level_raises(monkeypatch):
     stub_verdicts(monkeypatch, lambda d: Verdict.SURVIVES)
     with pytest.raises(NonMonotoneError, match="below d_max=1.0"):
         find_d_critical(DeltaLoads(0.8))
+
+
+@pytest.mark.parametrize("model", [UniformLoads(), None, "0.8"])
+def test_search_rejects_an_unsupported_model_before_any_probe(monkeypatch, model):
+    stub_verdicts(monkeypatch, lambda d: pytest.fail(f"probed {model!r} at {d}"))
+    with pytest.raises(TypeError, match="DeltaLoads or a BimodalLoads"):
+        find_d_critical(model)
 
 
 def test_search_failing_at_every_level_reports_no_headroom(monkeypatch):
