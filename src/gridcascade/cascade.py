@@ -125,9 +125,13 @@ def _total(loads: np.ndarray) -> float:
 class CascadeOutcome:
     """Summary of a finished cascade."""
 
-    termination_stage: int
     survivor_fraction: float
     failures_per_stage: tuple[int, ...]
+
+    @property
+    def termination_stage(self) -> int:
+        """The number of stages in which some node failed."""
+        return len(self.failures_per_stage)
 
 
 def _stage(adj: np.ndarray | None, loads: np.ndarray, alive: int) -> tuple[int, float]:
@@ -203,7 +207,7 @@ def _cascade(adj: np.ndarray | None, loads: np.ndarray, total: float) -> Cascade
     # exact where the float-summed loads would pick up rounding noise, so an
     # all-or-nothing cascade reports f of exactly 1.0 or 0.0
     final = total - dropped_total if alive else 0.0
-    return CascadeOutcome(len(failures), final / total if total > 0 else 1.0, tuple(failures))
+    return CascadeOutcome(final / total if total > 0 else 1.0, tuple(failures))
 
 
 # --- Monte Carlo ----------------------------------------------------------

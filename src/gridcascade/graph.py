@@ -16,6 +16,7 @@ the two steps at one ``p``.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
@@ -43,13 +44,14 @@ def check_count(name: str, x, low: int = 1) -> None:
 
 def check_graph_args(n: int, ps: Sequence[float]) -> None:
     """Raise ValueError unless ``n`` is an integer >= 1 and ``ps`` is a
-    nonempty sequence of edge probabilities in [0, 1]."""
+    nonempty sequence of edge probabilities: real numbers (not bools) in
+    [0, 1]."""
     check_count("node count", n)
     if not ps:
         raise ValueError("need at least one edge probability, got none")
     for p in ps:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"edge probability must be in [0, 1], got {p}")
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+            raise ValueError(f"edge probability must be a number in [0, 1], got {p!r}")
 
 
 def draw_weights(

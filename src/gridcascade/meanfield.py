@@ -24,14 +24,16 @@ three branches, in order, one phase each:
     LOWER_ONLY    only the a-mode remains
 
 ``recursion_verdict`` (one mode) and ``bimodal_verdict`` (two) iterate
-these scalars in locals, one loop per phase, and return the verdict. Both
-start from ``_init``, which checks the inputs and computes stage 1.
-Given a list, a loop also appends each stage as a plain row
-``(n, a_n, p_n, D_n, mu_prev)``, mu_prev being the mu that produced D_n;
-a two-mode row goes on with ``(b_n, branch, p_tilde)``, p_tilde being the
-failing mass of an UPPER_DIES stage (else nan). ``run_recursion`` and
-``run_bimodal`` pass one and return its rows as a trace: one state per row,
-the row's fields followed by the verdict.
+these scalars in locals, one loop per phase, from ``_init``'s input checks
+and stage 1 to the verdict; ``_one_mode`` is the two-mode LOWER_ONLY loop
+and every later stage of the one-mode run. Given a list, a loop also
+appends each stage as a plain row ``(n, a_n, p_n, D_n, mu_prev)``, mu_prev
+being the mu that produced D_n; a two-mode row goes on with ``(b_n,
+branch, p_tilde)``, p_tilde being the failing mass of an UPPER_DIES stage
+(else nan). An outage exit that computes no stage appends the last row
+again, one stage on. ``run_recursion`` and ``run_bimodal`` pass a list and
+return its rows as a trace: one state per row, the row's fields followed
+by the verdict.
 
 Without a list (the threshold search's probes) a loop may stop a run
 early, on a proven bound either way, with the verdict the remaining stages
@@ -39,10 +41,10 @@ would reach. Once p_n is small, ``_survival_proven`` bounds every later
 stage, and when the bound shows p_n falling below ``tol`` within the stage
 budget with the floors below capacity (so in BOTH_ALIVE or LOWER_ONLY to
 the end), the loop returns SURVIVES. Once the shift D_n grows from one
-one-mode or LOWER_ONLY stage to the next, every later shift grows too, and
-when the stage budget covers the stages it needs to push the lower floor to
-capacity, the loop returns COMPLETE_OUTAGE (see ``recursion_verdict``). A
-traced run computes every stage.
+stage of ``_one_mode`` to the next, every later shift grows too, and when
+the stage budget covers the stages it needs to push the lower floor to
+capacity, the loop returns COMPLETE_OUTAGE (see ``_one_mode``); so this
+exit is taken only with one mode left. A traced run computes every stage.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+from .graph import check_count
 
 
 class Verdict(str, enum.Enum):
@@ -142,7 +146,7 @@ def _survival_proven(a: float, b: float, pa: float, p: float, D: float, d_m: flo
     probability tol <= p < 1 and pending shift D, must return SURVIVES
     within ``stages`` loop passes, this one included. The floors are a and
     b: a fraction pa of the nodes at a and the rest at b while b < 1, only
-    a once b = 1 (the unimodal loop passes b = 1).
+    a once b = 1 (``_one_mode`` passes b = 1).
 
     Every later mean failed load is at most M = 1 + max(D, X)/2, X =
     p/(1-p)*(1+d_m) the largest later shift, as x/expm1(x) >= 1 - x/2; so
@@ -189,8 +193,8 @@ def _init(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float
     overflows for blackout-scale D1, an outage."""
     check_modes(a0, b0, pa)
     check_disturbance(d_m)
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    if type(max_iter) is not int or max_iter < 1:  # every probe: skip the call
+        check_count("max_iter", max_iter)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     mu = 1.0 + d_m
@@ -209,30 +213,41 @@ def _init(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float
     return (COMPLETE_OUTAGE if p1 >= 1.0 else RUNNING), (1, a0, p1, D1, mu), e1
 
 
-# the outage exit of a verdict-only loop (see recursion_verdict): a shift
-# must beat the last one by GROWTH, and the stage count takes SLACK*d_m plus
-# ROUNDING off every later shift
+# the outage exit of a verdict-only loop (see _one_mode): a shift must beat
+# the last one by GROWTH, and the stage count takes SLACK*d_m plus ROUNDING
+# off every later shift
 GROWTH, SLACK, ROUNDING = 1.0 + 1e-9, 1e-6, 2.0 ** -53
 
 
-def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float = 1e-12,
-                      rows: list | None = None) -> Verdict:
-    """The verdict of ``run_recursion``; each stage row goes to ``rows``
-    when a list is given. The stage formulas are written inline (the loop
-    runs for every probe of the threshold search), one expm1 per stage:
-    e = expm1(D/d_m) gives p = q/(1-q) * e, q = exp(-(1-a)/d_m) the failing
-    mass of the shifted floor, and the next stage's mu = 1 + d_m - D/e is
-    ``mean_failed_load`` without its guards (p >= tol > 0 makes e > 0, and
-    an infinite e gives D/e = 0).
+def _renumbered_outage(rows: list | None) -> Verdict:
+    """An outage exit that computed no stage: the last row again, one stage
+    on."""
+    if rows is not None:
+        rows.append((rows[-1][0] + 1, *rows[-1][1:]))
+    return COMPLETE_OUTAGE
+
+
+def _one_mode(row: tuple, e: float, grown: float, cut: float, d_m: float, max_iter: int,
+              tol: float, rows: list | None, tail: tuple) -> Verdict:
+    """The stages of a run with one mode left, from the last stage's
+    ``row`` = (n, a, p, D, mu) and e = expm1(D/d_m) to the verdict; each
+    stage row, then ``tail``, goes to ``rows`` when a list is given. The
+    stage formulas are written inline (the loop runs for every probe of
+    the threshold search), one expm1 per stage: p = q/(1-q) * e, q =
+    exp(-(1-a)/d_m) the failing mass of the shifted floor, and the next
+    stage's mu = 1 + d_m - D/e is ``mean_failed_load`` without its guards
+    (p >= tol > 0 makes e > 0, and an infinite e gives D/e = 0), except
+    after UPPER_DIES, which computes no e (it passes e = 0).
 
     Without ``rows`` a run may stop early, on a proven bound either way.
-    A pass whose p has fallen below a cut (1e-3, then a sixteenth of the
-    last p tested) asks ``_survival_proven`` whether the rest of the run
-    must survive within ``max_iter``, and returns SURVIVES at once when it
-    must. A pass whose new shift D' beats the last one, D, by the factor
-    GROWTH returns COMPLETE_OUTAGE before computing its p when the passes
-    left after it, less a spare one, number more than (1 - a')/(D' -
-    SLACK*d_m - ROUNDING), a' = a + D being the new floor.
+    A pass whose p has fallen below ``cut`` (1e-3 at the start of a run,
+    then a sixteenth of the last p tested) asks ``_survival_proven`` whether
+    the rest of the run must survive within ``max_iter``, and returns
+    SURVIVES at once when it must. A pass whose new shift D' beats
+    ``grown`` (GROWTH times the last shift D, or inf while the last stage
+    was not a one-mode one) returns COMPLETE_OUTAGE before computing its p
+    when the passes left after it, less a spare one, number more than
+    (1 - a')/(D' - SLACK*d_m - ROUNDING), a' = a + D being the new floor.
 
     The proof: a stage maps D to D' = D * R(a, D), where R = Q(a) *
     expm1(D/d_m)/D * mu(D) / (1 - p), Q = q/(1-q) and p = Q(a) *
@@ -241,7 +256,7 @@ def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float 
     after D' > D the next ratio R(a', D') is at least R(a, D) > 1, and by
     induction every later shift is at least D' and every later p exceeds
     the last one tested (>= tol): no later pass survives, and each raises
-    the floor by at least D'. The top-of-pass exit D > 1 - a fires once
+    the floor by at least D'. The top-of-pass exit D >= 1 - a fires once
     those rises pass the headroom 1 - a', within the count above, unless
     another outage exit came first; every exit left is an outage.
 
@@ -255,45 +270,51 @@ def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float 
     absorbs the rounding of the test itself.
 
     With ``rows`` neither early exit is taken: every stage runs."""
+    n, a, p, D, mu = row
+    exp, expm1 = math.exp, math.expm1
+    for _ in range(max_iter - n + 1):
+        if p < cut:
+            if p < tol or _survival_proven(a, 1.0, 1.0, p, D, d_m, tol, max_iter - n + 1):
+                return SURVIVES
+            cut = max(p / 16.0, tol)
+        if not D < 1.0 - a:  # a < 1 here: every stage exits on a >= 1
+            return _renumbered_outage(rows)
+        a += D
+        n += 1
+        try:
+            try:
+                mu = 1.0 + d_m - D / e
+            except ZeroDivisionError:  # e = 0: UPPER_DIES computed none
+                mu = mean_failed_load(D, d_m)
+            D = p / (1.0 - p) * mu
+            if (D > grown and rows is None
+                    and (D - SLACK * d_m - ROUNDING) * (max_iter - n) > 1.0 - a):
+                return COMPLETE_OUTAGE
+            grown = D * GROWTH
+            q = exp(-(1.0 - a) / d_m)
+            e = expm1(D / d_m)
+            p = q / (1.0 - q) * e
+        except (OverflowError, ZeroDivisionError):  # q rounds to 1.0 as a does
+            return _renumbered_outage(rows)
+        if rows is not None:
+            rows.append((n, a, p, D, mu, *tail))
+        if not p < 1.0 or a >= 1.0:  # p >= 0, as e >= 0 and q <= 1 (a <= 1)
+            return COMPLETE_OUTAGE
+    return UNDETERMINED
+
+
+def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float = 1e-12,
+                      rows: list | None = None) -> Verdict:
+    """The verdict of ``run_recursion``; each stage row goes to ``rows``
+    when a list is given. Stage 1 comes from ``_init``, every later stage
+    from ``_one_mode``, which may stop a run without ``rows`` early."""
     verdict, row, e = _init(a0, a0, 1.0, d_m, max_iter, tol)
     if rows is not None:
         rows.append(row)
     if verdict is not RUNNING:
         return verdict
-    n, a, p, D, mu = row
-    exp, expm1 = math.exp, math.expm1
     cut = tol if rows is not None else max(1e-3, tol)
-    grown = D * GROWTH
-    for _ in range(max_iter):
-        if p < cut:
-            if p < tol or _survival_proven(a, 1.0, 1.0, p, D, d_m, tol, max_iter - n + 1):
-                return SURVIVES
-            cut = max(p / 16.0, tol)
-        if D > (1.0 - a):  # a < 1 here: every stage exits on a >= 1
-            if rows is not None:
-                rows.append((n, a, p, D, mu))  # the last row again
-            return COMPLETE_OUTAGE
-        a += D
-        mu = 1.0 + d_m - D / e
-        D = p / (1.0 - p) * mu
-        n += 1
-        if (D > grown and rows is None
-                and (D - SLACK * d_m - ROUNDING) * (max_iter - n) > 1.0 - a):
-            return COMPLETE_OUTAGE
-        grown = D * GROWTH
-        try:
-            q = exp(-(1.0 - a) / d_m)
-            e = expm1(D / d_m)
-            p = q / (1.0 - q) * e
-        except (OverflowError, ZeroDivisionError):  # q rounds to 1.0 as a does
-            if rows is not None:
-                rows.append((n, a, 1.0, D, mu))
-            return COMPLETE_OUTAGE
-        if rows is not None:
-            rows.append((n, a, p, D, mu))
-        if p >= 1.0 or a >= 1.0:
-            return COMPLETE_OUTAGE
-    return UNDETERMINED
+    return _one_mode(row, e, row[3] * GROWTH, cut, d_m, max_iter, tol, rows, ())
 
 
 def run_recursion(
@@ -312,14 +333,6 @@ def run_recursion(
     return verdict, trace(MeanFieldState, verdict, rows)
 
 
-def _renumbered_outage(rows: list | None) -> Verdict:
-    """A two-mode outage exit that computed no stage: the last row again,
-    one stage on."""
-    if rows is not None:
-        rows.append((rows[-1][0] + 1, *rows[-1][1:]))
-    return COMPLETE_OUTAGE
-
-
 def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int = 10_000,
                     tol: float = 1e-12, rows: list | None = None) -> Verdict:
     """The verdict of ``run_bimodal``; each stage row goes to ``rows`` when
@@ -328,20 +341,18 @@ def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int =
 
     1. BOTH_ALIVE while the shift leaves the upper floor below capacity:
        the unimodal stage formulas and carried e = expm1(D/d_m), written
-       inline as in ``recursion_verdict``, on the mixed failing mass
+       inline as in ``_one_mode``, on the mixed failing mass
        q = pa*q(a) + (1-pa)*q(b) of the shifted floors;
     2. one UPPER_DIES stage once the shift reaches it (an outage if pa = 0),
        or none if b + D rounded to 1 in phase 1;
-    3. LOWER_ONLY: the unimodal formulas on the lower floor. UPPER_DIES
-       computes no e for its D (it leaves e = 0), so the first stage after
-       it takes mu from ``mean_failed_load``.
+    3. LOWER_ONLY: ``_one_mode`` on the lower floor.
 
     Without ``rows`` a small p is tested for proven survival in every
     phase, and a growing shift for a proven outage in phase 3 alone, from
-    its second stage on, both as in ``recursion_verdict``: in phase 1 the
-    upper mode's death can still leave the lower mode alive, and a stage
-    that follows UPPER_DIES or BOTH_ALIVE does not start from the lower
-    floor's own p."""
+    its second stage on, both as in ``_one_mode``: in phase 1 the upper
+    mode's death can still leave the lower mode alive, and a stage that
+    follows UPPER_DIES or BOTH_ALIVE does not start from the lower floor's
+    own p."""
     verdict, row, e = _init(a0, b0, pa, d_m, max_iter, tol)
     if rows is not None:
         rows.append(row + (b0, INIT, math.nan))
@@ -405,33 +416,8 @@ def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int =
             rows.append((n, a, p, D, mu, 1.0, UPPER_DIES, p_tilde))
         if not 0.0 <= p < 1.0 or a >= 1.0:
             return COMPLETE_OUTAGE
-    grown = math.inf
-    for _ in range(max_iter - n + 1):
-        if p < cut:
-            if p < tol or _survival_proven(a, 1.0, pa, p, D, d_m, tol, max_iter - n + 1):
-                return SURVIVES
-            cut = max(p / 16.0, tol)
-        if not D < 1.0 - a:  # a < 1 here, as in the unimodal loop
-            return _renumbered_outage(rows)
-        a += D
-        n += 1
-        try:
-            mu = 1.0 + d_m - D / e if e else mean_failed_load(D, d_m)
-            D = p / (1.0 - p) * mu
-            if (D > grown and rows is None
-                    and (D - SLACK * d_m - ROUNDING) * (max_iter - n) > 1.0 - a):
-                return COMPLETE_OUTAGE
-            grown = D * GROWTH
-            q = exp(-(1.0 - a) / d_m)
-            e = expm1(D / d_m)
-            p = q / (1.0 - q) * e
-        except (OverflowError, ZeroDivisionError):
-            return _renumbered_outage(rows)
-        if rows is not None:
-            rows.append((n, a, p, D, mu, 1.0, LOWER_ONLY, nan))
-        if not 0.0 <= p < 1.0 or a >= 1.0:
-            return COMPLETE_OUTAGE
-    return UNDETERMINED
+    return _one_mode((n, a, p, D, mu), e, math.inf, cut, d_m, max_iter, tol, rows,
+                     (1.0, LOWER_ONLY, nan))
 
 
 def run_bimodal(

@@ -1,9 +1,11 @@
 """Critical-disturbance search and parameter sweeps.
 
-The mean-field verdict is survive below some disturbance mean and complete
-outage above it. ``find_d_critical`` brackets that boundary by geometric
-scan and closes in by bisection; a coarse linear scan is available to
-cross-check the assumed monotonicity. Undetermined verdicts (max_iter
+``find_d_critical`` assumes that the mean-field verdict is survive below
+some disturbance mean and complete outage above it, brackets that boundary
+by geometric scan and closes in by bisection. The assumption fails for
+some two-mode splits, whose verdict flips more than once (README, model
+conventions); there the search returns one of the flips. ``coarse_scan``
+checks the assumption on an explicit grid. Undetermined verdicts (max_iter
 exhausted near the boundary) are conservatively counted as failures.
 """
 

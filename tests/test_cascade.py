@@ -416,8 +416,7 @@ def reference_cascade(loads, total):
         failures.append(step[0])
         dropped += step[1]
     final = 0.0 if sum(failures) == loads.size else total - dropped
-    return cascade.CascadeOutcome(len(failures), final / total if total > 0 else 1.0,
-                                  tuple(failures))
+    return cascade.CascadeOutcome(final / total if total > 0 else 1.0, tuple(failures))
 
 
 def test_complete_graph_cascade_matches_the_masked_formulation():
@@ -482,7 +481,7 @@ def test_stage_kernel_matches_golden_digest(n, p):
     for k in range(60):
         fields = stepped_trial(n, p, trial_rng(42, k))
         out = run_trial(n, p, UniformLoads(), 0.1, trial_rng(42, k))
-        assert dataclasses.astuple(out) == fields[:3]
+        assert (out.termination_stage, *dataclasses.astuple(out)) == fields[:3]
         h.update(repr(fields).encode())
     assert h.hexdigest() == STAGE_GOLDEN[n, p]
 
@@ -502,7 +501,7 @@ def test_aggregate_matches_the_np_mean_formulation():
     ``_aggregate``'s two figures equal ``np.mean``'s bit for bit."""
     rng = np.random.default_rng(22)
     fractions = np.concatenate([[1.0, 0.0], rng.random(4094), 1.0 - rng.random(1024) * 1e-15])
-    pool = [cascade.CascadeOutcome(1, float(f), (1,)) for f in fractions]
+    pool = [cascade.CascadeOutcome(float(f), (1,)) for f in fractions]
     for _ in range(20_000):
         size = int(rng.integers(1, 301))
         ones, zeros = rng.random(2) * [1.0, 0.5]
@@ -661,7 +660,7 @@ def test_grid_entry_j_is_the_scalar_call_at_p_j(workers, spec, ps):
 
 
 @pytest.mark.parametrize("ps", [
-    (0.5, 1.5), (-0.1, 0.5), (0.2, math.nan, 1.0), (0.5, 1.0, math.inf), []])
+    (0.5, 1.5), (-0.1, 0.5), (0.2, math.nan, 1.0), (0.5, 1.0, math.inf), [], ("0.5",), (True,)])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_grid_rejects_any_bad_edge_prob_before_any_trial(monkeypatch, workers, ps):
     def no_trials(*args, **kwargs):

@@ -214,11 +214,13 @@ def test_meanfield_single_point(tmp_path):
 
 
 def test_meanfield_floor_rounding_to_capacity_is_an_outage(tmp_path):
-    # the shifted floor rounds to 1.0, so q = 1.0 and q / (1 - q) divides by 0
+    # the first shift fills the floor's headroom exactly, a0 + D1 = 1.0: an
+    # outage exit that computes no stage, so stage 1's row repeats as stage 2
     cfg = write_config(tmp_path, "mf.json", {"a0": 0.0125, "d_m": 0.9157115631207786})
     assert main(["meanfield", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     rows = read_csv(tmp_path / "out" / "meanfield_trace.csv")
-    assert rows[-1][1:4] == ["2", "1", "1"] and rows[-1][-1] == "complete_outage"
+    assert [r[1] for r in rows[1:]] == ["1", "2"] and rows[2][2:5] == rows[1][2:5]
+    assert float(rows[1][2]) + float(rows[1][4]) == 1.0 and rows[2][-1] == "complete_outage"
 
 
 def test_bimodal_meanfield_trace(tmp_path):

@@ -118,9 +118,15 @@ def test_trace_is_reproducible():
 def test_max_iter_exhaustion_is_undetermined():
     verdict, trace = run_recursion(0.8, 0.03, max_iter=2, tol=1e-300)
     assert verdict is Verdict.UNDETERMINED
+    # a numpy count is a stage budget too, as it is a trial count
+    assert run_recursion(0.8, 0.03, max_iter=np.int64(2), tol=1e-300) == (verdict, trace)
+    assert (repr(run_bimodal(0.5, 0.9, 0.25, 0.022, max_iter=np.int64(3)))
+            == repr(run_bimodal(0.5, 0.9, 0.25, 0.022, max_iter=3)))
+    assert (find_d_critical(DeltaLoads(0.8), max_iter=np.int64(50))
+            == find_d_critical(DeltaLoads(0.8), max_iter=50))
 
 
-@pytest.mark.parametrize("max_iter", [0, 1.5, True])
+@pytest.mark.parametrize("max_iter", [0, 1.5, True, np.int64(0)])
 def test_zero_stage_budget_is_rejected(max_iter):
     # 1.5 used to fail in range() with a TypeError naming neither max_iter
     # nor the function, and True to run one stage

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcascade import (
@@ -179,6 +179,29 @@ def test_model_verdict_matches_the_traced_run(a0, gap, pa, d_m, bimodal, max_ite
     assert model_verdict(model, d_m, max_iter=max_iter, tol=tol) is verdict
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    a0=st.floats(min_value=0.01, max_value=0.99),
+    d_m=st.floats(min_value=1e-4, max_value=2.0),
+    max_iter=st.sampled_from([3, 50, 10_000]),
+    tol=st.sampled_from([1e-12, 1e-6]),
+)
+# the one-mode outage exits of test_each_loop_exit_gives_its_verdict_and_trace
+@example(a0=0.8350591552699234, d_m=0.05538368295059026, max_iter=10_000, tol=1e-12)
+@example(a0=0.095, d_m=0.820800320267225, max_iter=10_000, tol=1e-12)
+@example(a0=0.0125, d_m=0.9157115631207786, max_iter=10_000, tol=1e-12)
+def test_one_mode_recursion_is_the_two_mode_one_with_equal_modes(a0, d_m, max_iter, tol):
+    """recursion_verdict(a0, ...) is bimodal_verdict(a0, a0, 1.0, ...): the
+    same verdict, traced or not, and the same first five fields of every
+    row, at every exit."""
+    rows, two_mode_rows = [], []
+    verdict = recursion_verdict(a0, d_m, max_iter, tol, rows)
+    assert bimodal_verdict(a0, a0, 1.0, d_m, max_iter, tol, two_mode_rows) is verdict
+    assert repr([row[:5] for row in two_mode_rows]) == repr(rows)
+    assert (recursion_verdict(a0, d_m, max_iter, tol)
+            is bimodal_verdict(a0, a0, 1.0, d_m, max_iter, tol) is verdict)
+
+
 def _unchanged(row, prev):
     """The row an outage exit appends: ``prev`` again, at most renumbered."""
     return row[1:] == prev[1:]
@@ -196,14 +219,16 @@ OUTAGE, SURVIVES, UNDETERMINED = (
     pytest.param((0.99, 10.0), 10_000, OUTAGE,
                  lambda r: len(r) == 1 and r[0][2] == 1.0 and r[0][3] > 0, id="stage1-overflow"),
     pytest.param((0.8350591552699234, 0.05538368295059026), 10_000, OUTAGE,
-                 lambda r: len(r) == 3 and r[-1][2] == 1.0 and r[-1][1] != r[-2][1],
-                 id="in-loop-overflow"),
+                 lambda r: len(r) == 3 and r[-1] == (3, *r[-2][1:]), id="in-loop-overflow"),
     pytest.param((0.8, 0.06), 10_000, OUTAGE,
                  lambda r: len(r) == 4 and r[-1][2] >= 1.0, id="p-reaches-1"),
     pytest.param((0.095, 0.820800320267225), 10_000, OUTAGE,
-                 lambda r: len(r) == 2 and r[1] == r[0], id="D>1-a"),
+                 lambda r: len(r) == 2 and r[1] == (2, *r[0][1:]), id="D>1-a"),
+    # D1 = 1 - a0 exactly: the top-of-pass exit stops the stage whose floor
+    # would reach 1, where q = 1 would divide by zero
     pytest.param((0.0125, 0.9157115631207786), 10_000, OUTAGE,
-                 lambda r: len(r) == 2 and r[1][1:3] == (1.0, 1.0), id="zero-division"),
+                 lambda r: len(r) == 2 and r[1] == (2, *r[0][1:]) and r[0][1] + r[0][3] == 1.0,
+                 id="zero-division"),
     pytest.param((0.8, 0.0492), 50, UNDETERMINED, lambda r: len(r) == 51, id="undetermined"),
     pytest.param((0.8, 0.03), 10_000, SURVIVES, lambda r: r[-1][2] < 1e-12, id="survives"),
     pytest.param((0.5, 0.6, 0.5, 1e300), 10_000, OUTAGE,
