@@ -23,28 +23,25 @@ three branches, in order, one phase each:
     UPPER_DIES    the shift kills the b-mode exactly this stage
     LOWER_ONLY    only the a-mode remains
 
-``recursion_verdict`` (one mode) and ``bimodal_verdict`` (two) iterate
-these scalars in locals, one loop per phase, from ``_init``'s input checks
-and stage 1 to the verdict; ``_one_mode`` is the two-mode LOWER_ONLY loop
-and every later stage of the one-mode run. Given a list, a loop also
-appends each stage as a plain row ``(n, a_n, p_n, D_n, mu_prev)``, mu_prev
-being the mu that produced D_n; a two-mode row goes on with ``(b_n,
-branch, p_tilde)``, p_tilde being the failing mass of an UPPER_DIES stage
-(else nan). An outage exit that computes no stage appends the last row
-again, one stage on. ``run_recursion`` and ``run_bimodal`` pass a list and
-return its rows as a trace: one state per row, the row's fields followed
-by the verdict.
+``run_recursion`` (one mode) and ``bimodal_verdict`` (two) iterate these
+scalars in locals, one loop per phase, from ``_init``'s input checks and
+stage 1 to the verdict; ``_one_mode`` is the two-mode LOWER_ONLY loop and
+every later stage of the one-mode run. Given a list, a loop appends each
+stage as a plain row ``(n, a_n, p_n, D_n, mu_prev)``, mu_prev being the
+mu that produced D_n; a two-mode row goes on with ``(b_n, branch,
+p_tilde)``, p_tilde being the failing mass of an UPPER_DIES stage (else
+nan). An outage exit that computes no stage appends the last row again,
+one stage on. ``run_recursion`` and ``run_bimodal`` return the rows as a
+trace: one state per row, the row's fields followed by the verdict.
 
-Without a list (the threshold search's probes) a loop may stop a run
-early, on a proven bound either way, with the verdict the remaining stages
-would reach. Once p_n is small, ``_survival_proven`` bounds every later
-stage, and when the bound shows p_n falling below ``tol`` within the stage
-budget with the floors below capacity (so in BOTH_ALIVE or LOWER_ONLY to
-the end), the loop returns SURVIVES. Once the shift D_n grows from one
-stage of ``_one_mode`` to the next, every later shift grows too, and when
-the stage budget covers the stages it needs to push the lower floor to
-capacity, the loop returns COMPLETE_OUTAGE (see ``_one_mode``); so this
-exit is taken only with one mode left. A traced run computes every stage.
+Without a list (the threshold search's two-mode probes) a loop may stop
+a run early, on a proven bound either way, with the verdict the remaining
+stages would reach: SURVIVES once ``_survival_proven`` shows p_n falling
+below ``tol`` within the stage budget with the floors below capacity, and
+COMPLETE_OUTAGE once the shift grows from one stage of ``_one_mode`` to
+the next and the budget covers the stages it needs to push the lower floor
+to capacity (so only with one mode left). A traced run computes every
+stage.
 """
 
 from __future__ import annotations
@@ -120,6 +117,14 @@ def check_disturbance(d_m: float) -> None:
         raise ValueError(f"disturbance mean must be finite and > 0, got {d_m}")
 
 
+def check_budget(max_iter: int, tol: float) -> None:
+    """Reject a max_iter that is not an integer >= 1, or a tol not finite and > 0."""
+    if type(max_iter) is not int or max_iter < 1:  # every two-mode probe: skip the call
+        check_count("max_iter", max_iter)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 def mean_failed_load(D: float, d_m: float) -> float:
     """Mean load of nodes pushed past capacity by a shift D, in [1, 1+d_m]:
     the D -> 0 limit is 1 + d_m - d_m = 1. A D/d_m that rounds to inf gives
@@ -193,10 +198,7 @@ def _init(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float
     overflows for blackout-scale D1, an outage."""
     check_modes(a0, b0, pa)
     check_disturbance(d_m)
-    if type(max_iter) is not int or max_iter < 1:  # every probe: skip the call
-        check_count("max_iter", max_iter)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    check_budget(max_iter, tol)
     mu = 1.0 + d_m
     p0 = math.exp(-(1.0 - a0) / d_m)
     if pa < 1.0:  # at pa = 1 the sum is 1.0*q(a0) + 0.0*q(b0) = q(a0) exactly
@@ -232,8 +234,8 @@ def _one_mode(row: tuple, e: float, grown: float, cut: float, d_m: float, max_it
     """The stages of a run with one mode left, from the last stage's
     ``row`` = (n, a, p, D, mu) and e = expm1(D/d_m) to the verdict; each
     stage row, then ``tail``, goes to ``rows`` when a list is given. The
-    stage formulas are written inline (the loop runs for every probe of
-    the threshold search), one expm1 per stage: p = q/(1-q) * e, q =
+    stage formulas are written inline (the loop runs in the threshold
+    search's two-mode probes), one expm1 per stage: p = q/(1-q) * e, q =
     exp(-(1-a)/d_m) the failing mass of the shifted floor, and the next
     stage's mu = 1 + d_m - D/e is ``mean_failed_load`` without its guards
     (p >= tol > 0 makes e > 0, and an infinite e gives D/e = 0), except
@@ -303,20 +305,6 @@ def _one_mode(row: tuple, e: float, grown: float, cut: float, d_m: float, max_it
     return UNDETERMINED
 
 
-def recursion_verdict(a0: float, d_m: float, max_iter: int = 10_000, tol: float = 1e-12,
-                      rows: list | None = None) -> Verdict:
-    """The verdict of ``run_recursion``; each stage row goes to ``rows``
-    when a list is given. Stage 1 comes from ``_init``, every later stage
-    from ``_one_mode``, which may stop a run without ``rows`` early."""
-    verdict, row, e = _init(a0, a0, 1.0, d_m, max_iter, tol)
-    if rows is not None:
-        rows.append(row)
-    if verdict is not RUNNING:
-        return verdict
-    cut = tol if rows is not None else max(1e-3, tol)
-    return _one_mode(row, e, row[3] * GROWTH, cut, d_m, max_iter, tol, rows, ())
-
-
 def run_recursion(
     a0: float,
     d_m: float,
@@ -328,8 +316,10 @@ def run_recursion(
     Survives when p_n drops below ``tol``; Undetermined when ``max_iter``
     stages pass without resolution (slow dynamics near the threshold).
     """
-    rows: list = []
-    verdict = recursion_verdict(a0, d_m, max_iter, tol, rows)
+    verdict, row, e = _init(a0, a0, 1.0, d_m, max_iter, tol)
+    rows = [row]
+    if verdict is RUNNING:
+        verdict = _one_mode(row, e, math.inf, tol, d_m, max_iter, tol, rows, ())
     return verdict, trace(MeanFieldState, verdict, rows)
 
 

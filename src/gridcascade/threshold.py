@@ -2,11 +2,13 @@
 
 ``find_d_critical`` assumes that the mean-field verdict is survive below
 some disturbance mean and complete outage above it, brackets that boundary
-by geometric scan and closes in by bisection. The assumption fails for
-some two-mode splits, whose verdict flips more than once (README, model
-conventions); there the search returns one of the flips. ``coarse_scan``
-checks the assumption on an explicit grid. Undetermined verdicts (max_iter
-exhausted near the boundary) are conservatively counted as failures.
+by geometric scan and closes in by bisection. A one-mode verdict is exact
+(``model_verdict``) and monotone; a two-mode probe runs the recursion,
+whose verdict flips more than once for some splits (README, model
+conventions), and there the search returns one of the flips.
+``coarse_scan`` checks the assumption on an explicit grid. Undetermined
+two-mode verdicts (max_iter exhausted near the boundary) are
+conservatively counted as failures.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .cascade import BimodalLoads, DeltaLoads
-from .meanfield import Verdict, bimodal_verdict, recursion_verdict
+from .meanfield import Verdict, bimodal_verdict, check_budget, check_disturbance
 
 # unused, but perfbench/tracing.py wraps them here
 from .meanfield import run_bimodal, run_recursion  # noqa: F401
@@ -40,11 +42,18 @@ class ThresholdResult:
 def model_verdict(
     model: MeanFieldModel, d_m: float, max_iter: int = 10_000, tol: float = 1e-12
 ) -> Verdict:
-    """Mean-field verdict for one disturbance level, from the recursion's
-    scalar loop alone (no stage row is kept), which stops a surviving run
-    as soon as a tail bound proves that it survives."""
+    """Mean-field verdict for one disturbance level. A ``DeltaLoads`` model
+    runs no stage: every alive node carries a0 plus one shared shift, and
+    the cascade stops short of capacity exactly when d_m*(1 + ln(1 +
+    1/d_m)) <= 1 - a0, whose left side increases in d_m. The log is
+    log1p(d_m) - log(d_m), as 1/d_m overflows at a subnormal d_m. The
+    verdict is never Undetermined, and ``max_iter`` and ``tol`` go unused.
+    A ``BimodalLoads`` model runs the two-mode recursion's scalar loop
+    alone, which may stop a run early on a proven bound either way."""
     if isinstance(model, DeltaLoads):
-        return recursion_verdict(model.a0, d_m, max_iter, tol)
+        check_disturbance(d_m)
+        return (Verdict.SURVIVES if d_m * (1.0 + math.log1p(d_m) - math.log(d_m))
+                <= 1.0 - model.a0 else Verdict.COMPLETE_OUTAGE)
     return bimodal_verdict(model.a0, model.b0, model.pa, d_m, max_iter, tol)
 
 
@@ -67,13 +76,15 @@ def find_d_critical(
     a surviving probe ever becomes d_low and only a failing one d_high, so
     the bracket needs no final check. Bisection stops at ``tol_d`` or at
     two adjacent floats, whichever comes first. ``undetermined_in_bracket``
-    reports whether any probe, scan or bisection, came back Undetermined;
-    ``evaluations`` counts the levels evaluated.
+    reports whether any (two-mode) probe came back Undetermined, and
+    ``evaluations`` counts the levels evaluated. ``max_iter`` and ``tol``
+    are checked before the first probe.
     """
     if not isinstance(model, MeanFieldModel):
         raise TypeError(f"model must be a DeltaLoads or a BimodalLoads, got {model!r}")
     if not 0.0 < tol_d < math.inf:
         raise ValueError(f"tol_d must be finite and > 0, got {tol_d}")
+    check_budget(max_iter, tol)
     probes: dict[float, Verdict] = {}
 
     def fails(d: float) -> bool:
@@ -83,8 +94,7 @@ def find_d_critical(
 
     def result(d_critical: float, lo: float, hi: float) -> ThresholdResult:
         return ThresholdResult(d_critical, lo, hi, tol_d,
-                               Verdict.UNDETERMINED in probes.values(),
-                               len(probes))
+                               Verdict.UNDETERMINED in probes.values(), len(probes))
 
     # geometric scan for a surviving lower endpoint
     lo = 1e-3

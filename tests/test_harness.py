@@ -390,13 +390,16 @@ def test_dcrit_bad_tolerance_is_a_config_error(tmp_path, tol_d):
 
 @pytest.mark.parametrize("tol_d,expected", [(1e-4, False), (1e-8, True)])
 def test_dcrit_manifest_reports_undetermined_probes(tmp_path, tol_d, expected):
-    cfg = write_config(tmp_path, "dc.json", {
-        "model": {"kind": "unimodal", "a0": 0.8}, "tol_d": tol_d,
-    })
-    assert main(["dcrit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["summary"]["undetermined_in_bracket"] is expected
-    assert read_csv(tmp_path / "out" / "dcrit.csv")[0][-1] == "method"
+    # a two-mode search can meet an Undetermined probe; a one-mode one never
+    for model, undetermined in (({"kind": "bimodal", "a0": 0.5, "b0": 0.9, "pa": 0.25},
+                                 expected),
+                                ({"kind": "unimodal", "a0": 0.8}, False)):
+        cfg = write_config(tmp_path, "dc.json", {"model": model, "tol_d": tol_d})
+        out = tmp_path / model["kind"]
+        assert main(["dcrit", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["summary"]["undetermined_in_bracket"] is undetermined
+        assert read_csv(out / "dcrit.csv")[0][-1] == "method"
 
 
 @pytest.mark.parametrize("command,cfg,table", [
@@ -414,7 +417,9 @@ def test_sweep_manifests_count_undetermined_searches(tmp_path, command, cfg, tab
         counts[tol_d] = manifest["summary"]["undetermined_searches"]
         # the count stays out of the table
         assert "undetermined" not in (out / table).read_text()
-    assert counts == {1e-4: 0, 1e-8: 2}
+    # only the two-mode searches: the one-mode sweep and the sweep-bimodal
+    # cell a0 = b0 = mean are never Undetermined
+    assert counts == {1e-4: 0, 1e-8: 1 if command == "sweep-bimodal" else 0}
 
 
 @pytest.mark.parametrize("command,cfg,table,searches", [

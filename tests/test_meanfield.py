@@ -13,7 +13,8 @@ from gridcascade import (
     run_bimodal,
     run_recursion,
 )
-from gridcascade.meanfield import bimodal_verdict, mean_failed_load, recursion_verdict
+from gridcascade.meanfield import bimodal_verdict, mean_failed_load
+from gridcascade.threshold import model_verdict
 
 
 def stage_one(a0, d_m):
@@ -186,7 +187,7 @@ def test_one_mode_rules_are_one_set_with_one_message(a0, d_m):
     messages = {
         _message(_shocked_spec, DeltaLoads, d_m, a0),
         _message(run_recursion, a0, d_m),
-        _message(recursion_verdict, a0, d_m),
+        _message(lambda: model_verdict(DeltaLoads(a0), d_m)),
         _message(run_bimodal, a0, a0, 1.0, d_m),
         _message(bimodal_verdict, a0, a0, 1.0, d_m),
     }
@@ -264,7 +265,7 @@ def _trace_z_scores(model, d_m, seed, n=10**6):
     (BimodalLoads(0.5, 0.9, 0.25), 0.024),
     pytest.param(BimodalLoads(0.4, 0.9, 0.8), 0.06, marks=pytest.mark.xfail(
         strict=True, reason="the recursion lets the upper mode fail more than all "
-        "of itself and calls an outage the process survives (ROADMAP item 1)")),
+        "of itself and calls an outage the process survives (ROADMAP item 2)")),
 ])
 def test_trace_follows_a_large_complete_graph_cascade_stage_by_stage(model, d_m):
     verdict, f, zs = _trace_z_scores(model, d_m, seed=5)

@@ -33,9 +33,29 @@ from gridcascade.meanfield import (
     UPPER_DIES,
     bimodal_verdict,
     mean_failed_load,
-    recursion_verdict,
 )
 from gridcascade.threshold import model_verdict
+
+
+def one_mode_verdict(a0, d_m, max_iter=10_000, tol=1e-12, rows=None):
+    """The one-mode counterpart of ``bimodal_verdict``: given a row list,
+    ``run_recursion``'s verdict, its states' rows appended to ``rows``;
+    without one, the threshold search's probe, ``model_verdict``'s closed
+    form."""
+    if rows is None:
+        return model_verdict(DeltaLoads(a0), d_m, max_iter, tol)
+    verdict, trace = run_recursion(a0, d_m, max_iter, tol)
+    rows.extend(dataclasses.astuple(s)[:-1] for s in trace)
+    return verdict
+
+
+def _agrees(probe, traced, one_mode) -> bool:
+    """Whether a verdict-only call ends as the traced call does. A one-mode
+    probe is the closed form, never Undetermined, so it also decides what
+    a traced one-mode run leaves Undetermined."""
+    if one_mode and traced is Verdict.UNDETERMINED:
+        return probe in (Verdict.SURVIVES, Verdict.COMPLETE_OUTAGE)
+    return probe == traced
 
 
 def random_instance(rng):
@@ -156,22 +176,17 @@ def test_complete_graph_shift_path_matches_general_path(n, spec, d_m, seed):
     pa=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
     # up to 2.0 so that overflow outages are drawn as well
     d_m=st.floats(min_value=1e-4, max_value=2.0),
-    bimodal=st.booleans(),
     max_iter=st.sampled_from([3, 50, 10_000]),
     tol=st.sampled_from([1e-12, 1e-6]),
 )
-def test_model_verdict_matches_the_traced_run(a0, gap, pa, d_m, bimodal, max_iter, tol):
-    if bimodal:
-        b0 = min(a0 + gap, 0.99)
-        model = BimodalLoads(a0, b0, pa)
-        verdict, trace = run_bimodal(a0, b0, pa, d_m, max_iter=max_iter, tol=tol)
-        rows = []
-        bimodal_verdict(a0, b0, pa, d_m, max_iter=max_iter, tol=tol, rows=rows)
-    else:
-        model = DeltaLoads(a0)
-        verdict, trace = run_recursion(a0, d_m, max_iter=max_iter, tol=tol)
-        rows = []
-        recursion_verdict(a0, d_m, max_iter=max_iter, tol=tol, rows=rows)
+def test_model_verdict_matches_the_traced_run(a0, gap, pa, d_m, max_iter, tol):
+    """A two-mode probe is the traced run's loop without a row list (the
+    one-mode probe's closed form is tested in test_threshold.py)."""
+    b0 = min(a0 + gap, 0.99)
+    model = BimodalLoads(a0, b0, pa)
+    verdict, trace = run_bimodal(a0, b0, pa, d_m, max_iter=max_iter, tol=tol)
+    rows = []
+    bimodal_verdict(a0, b0, pa, d_m, max_iter=max_iter, tol=tol, rows=rows)
     assert trace[-1].verdict is verdict
     assert all(s.verdict is Verdict.RUNNING for s in trace[:-1])
     # a state is its row, then the verdict; repr compares the nan p_tilde
@@ -191,15 +206,14 @@ def test_model_verdict_matches_the_traced_run(a0, gap, pa, d_m, bimodal, max_ite
 @example(a0=0.095, d_m=0.820800320267225, max_iter=10_000, tol=1e-12)
 @example(a0=0.0125, d_m=0.9157115631207786, max_iter=10_000, tol=1e-12)
 def test_one_mode_recursion_is_the_two_mode_one_with_equal_modes(a0, d_m, max_iter, tol):
-    """recursion_verdict(a0, ...) is bimodal_verdict(a0, a0, 1.0, ...): the
-    same verdict, traced or not, and the same first five fields of every
-    row, at every exit."""
+    """run_recursion(a0, ...) is run_bimodal(a0, a0, 1.0, ...): the same
+    verdict, which the two-mode loop also reaches without a row list, and
+    the same first five fields of every row, at every exit."""
     rows, two_mode_rows = [], []
-    verdict = recursion_verdict(a0, d_m, max_iter, tol, rows)
+    verdict = one_mode_verdict(a0, d_m, max_iter, tol, rows)
     assert bimodal_verdict(a0, a0, 1.0, d_m, max_iter, tol, two_mode_rows) is verdict
     assert repr([row[:5] for row in two_mode_rows]) == repr(rows)
-    assert (recursion_verdict(a0, d_m, max_iter, tol)
-            is bimodal_verdict(a0, a0, 1.0, d_m, max_iter, tol) is verdict)
+    assert bimodal_verdict(a0, a0, 1.0, d_m, max_iter, tol) is verdict
 
 
 def _unchanged(row, prev):
@@ -259,13 +273,14 @@ OUTAGE, SURVIVES, UNDETERMINED = (
 ])
 def test_each_loop_exit_gives_its_verdict_and_trace(args, max_iter, verdict, mark):
     unimodal = len(args) == 2
-    run, loop = (run_recursion, recursion_verdict) if unimodal else (run_bimodal, bimodal_verdict)
+    run, loop = (run_recursion, one_mode_verdict) if unimodal else (run_bimodal, bimodal_verdict)
     model = DeltaLoads(*args[:1]) if unimodal else BimodalLoads(*args[:3])
     traced, trace = run(*args, max_iter=max_iter)
     rows = []
-    rows_verdict = loop(*args, max_iter=max_iter, rows=rows)
-    # model_verdict runs the same loop without a row list
-    assert traced is rows_verdict is model_verdict(model, args[-1], max_iter) is verdict
+    assert traced is loop(*args, max_iter=max_iter, rows=rows) is verdict
+    # a two-mode probe runs the same loop without a row list; a one-mode
+    # probe, the closed form, is never Undetermined
+    assert _agrees(model_verdict(model, args[-1], max_iter), verdict, unimodal)
     assert repr([dataclasses.astuple(s)[:-1] for s in trace]) == repr(rows)
     assert mark(rows)
 
@@ -275,7 +290,7 @@ def test_mu_prev_is_the_mean_failed_load_of_the_previous_shift():
     mean_failed_load(D_prev, d_m) bit for bit."""
     seen = {"unimodal": 0, BOTH_ALIVE: 0, LOWER_ONLY: 0}
     d_grid = [1e-3 * 1.2 ** k for k in range(38)]  # 0.001 .. ~0.85
-    runs = [((a0,), recursion_verdict) for a0 in (0.3, 0.6, 0.8, 0.95)]
+    runs = [((a0,), one_mode_verdict) for a0 in (0.3, 0.6, 0.8, 0.95)]
     runs += [(model, bimodal_verdict) for model in
              ((0.5, 0.9, 0.25), (0.4, 0.9, 0.8), (0.6, 0.85, 0.9), (0.2, 0.7, 0.5))]
     for model, loop in runs:
@@ -293,7 +308,7 @@ def test_mu_prev_is_the_mean_failed_load_of_the_previous_shift():
 
 
 # sha256 of repr((verdict, rows)), or repr((exception type, message)), of
-# every recursion_verdict and bimodal_verdict call, given a row list, over a
+# every one-mode and bimodal_verdict call, given a row list, over a
 # grid of extreme inputs:
 # floors next to capacity, disturbance means from 1e-300 to 1e300, a 3-stage
 # budget, a denormal tol, and two-mode splits with pa 0, 0.25 and 1. Recorded
@@ -311,11 +326,11 @@ def _call(loop, *args, rows=None):
 
 def _outcome(loop, *args):
     """repr of the traced call's (verdict, rows), or of its exception, after
-    checking that the verdict-only call, which may stop a surviving run
-    early on a proven bound, ends the same way."""
+    checking that the verdict-only call, which may stop a run early on a
+    proven bound, ends the same way."""
     rows = []
     traced = _call(loop, *args, rows=rows)
-    assert _call(loop, *args) == traced, (loop.__name__, args)
+    assert _agrees(_call(loop, *args), traced, loop is one_mode_verdict), (loop.__name__, args)
     return repr(traced if isinstance(traced, tuple) else (traced, rows))
 
 
@@ -325,7 +340,7 @@ def test_recursions_on_extreme_inputs_match_golden_digest():
     for a0 in (0.05, 0.3, 0.6, 0.8, 0.95, 1.0 - 1e-12):
         for d_m in d_grid:
             for max_iter, tol in ((3, 1e-12), (10_000, 1e-12), (10_000, 1e-320)):
-                h.update(_outcome(recursion_verdict, a0, d_m, max_iter, tol).encode())
+                h.update(_outcome(one_mode_verdict, a0, d_m, max_iter, tol).encode())
                 for b0 in (a0, a0 + 0.5 * (1.0 - a0)):
                     for pa in (0.0, 0.25, 1.0):
                         h.update(_outcome(bimodal_verdict, a0, b0, pa, d_m, max_iter, tol).encode())
@@ -333,8 +348,8 @@ def test_recursions_on_extreme_inputs_match_golden_digest():
 
 
 def _loop(args):
-    """recursion_verdict for (a0, d_m), bimodal_verdict for (a0, b0, pa, d_m)."""
-    return recursion_verdict if len(args) == 2 else bimodal_verdict
+    """one_mode_verdict for (a0, d_m), bimodal_verdict for (a0, b0, pa, d_m)."""
+    return one_mode_verdict if len(args) == 2 else bimodal_verdict
 
 
 @pytest.mark.parametrize("mode", [(0.8,), (0.5, 0.9, 0.25), (0.4, 0.9, 0.8)])
@@ -342,26 +357,29 @@ def test_verdict_only_calls_match_traced_calls_next_to_the_threshold(mode):
     """Right at the threshold a surviving run decays slowest and a failing
     run grows slowest, where the survival and outage bounds are tightest;
     on both sides of d_low and of d_high the verdict-only call must end as
-    the traced call does."""
+    the traced call does (as ``_agrees`` reads it for a one-mode call)."""
     model = DeltaLoads(*mode) if len(mode) == 1 else BimodalLoads(*mode)
     res = threshold.find_d_critical(model)
     for k in range(1, 10):
         for edge in (res.d_low, res.d_high):
             for d in (edge * (1.0 - 10.0 ** -k), edge, edge * (1.0 + 10.0 ** -k)):
                 args = (*mode, d)
-                assert _loop(args)(*args) is _loop(args)(*args, rows=[]), args
+                traced = _loop(args)(*args, rows=[])
+                assert _agrees(_loop(args)(*args), traced, len(mode) == 1), args
 
 
 @pytest.mark.parametrize("args", [
     (0.8, 0.04925), (0.8, 0.03), (0.4, 0.9, 0.8, 0.03), (0.5, 0.9, 0.25, 0.0219375)])
 def test_verdict_only_survival_needs_the_traced_stage_budget(args):
-    """A traced survivor of N rows needs max_iter >= N: a proven survival
-    must still fit the budget the full loop would use, at every budget."""
+    """A traced survivor of N rows needs max_iter >= N: a proven two-mode
+    survival must still fit the budget the full loop would use, at every
+    budget. A one-mode probe runs no stage, so it survives at every budget."""
     rows = []
     assert _loop(args)(*args, rows=rows) is SURVIVES
     n = len(rows)
     verdicts = [_loop(args)(*args, max_iter) for max_iter in range(1, n + 2)]
-    assert verdicts == [UNDETERMINED] * (n - 1) + [SURVIVES] * 2
+    undetermined = 0 if len(args) == 2 else n - 1
+    assert verdicts == [UNDETERMINED] * undetermined + [SURVIVES] * (n + 1 - undetermined)
 
 
 # failing probes whose shift grows again after a dip: one-mode, and
@@ -372,12 +390,17 @@ GROWING = [(0.8, 0.0493125), (0.4, 0.9, 0.8, 0.0485)]
 @pytest.mark.parametrize("args", GROWING)
 def test_verdict_only_outage_needs_the_traced_stage_budget(args):
     """A traced outage of N rows is Undetermined at smaller budgets: a
-    failing run stopped on its growing shift must still fit the budget
-    the full loop would use, at every budget."""
+    two-mode run stopped on its growing shift must still fit the budget
+    the full loop would use, at every budget. A one-mode probe runs no
+    stage, so it fails at every budget."""
     rows = []
     assert _loop(args)(*args, rows=rows) is OUTAGE
     for max_iter in range(1, len(rows) + 2):
-        assert _loop(args)(*args, max_iter) is _loop(args)(*args, max_iter, rows=[]), max_iter
+        probe = _loop(args)(*args, max_iter)
+        if len(args) == 2:
+            assert probe is OUTAGE, max_iter
+        else:
+            assert probe is _loop(args)(*args, max_iter, rows=[]), max_iter
 
 
 @pytest.mark.parametrize("args", [(0.8, 0.04958), (0.3, 0.97, 0.55, 0.00575)])
@@ -408,16 +431,18 @@ def _expm1_calls(fn, *args, **kwargs) -> int:
 
 @pytest.mark.parametrize("args", [(0.8, 0.04925), (0.5, 0.9, 0.25, 0.0219375)])
 def test_verdict_only_survivor_stops_early(args):
-    """The threshold search's probes stop a surviving run once the bound
-    proves it; a traced run computes every stage."""
+    """The threshold search's two-mode probes stop a surviving run once the
+    bound proves it, and a one-mode probe computes no stage; a traced run
+    computes every stage."""
     full = _expm1_calls(_loop(args), *args, rows=[])
     assert 2 * _expm1_calls(_loop(args), *args) <= full
 
 
 @pytest.mark.parametrize("args,traced_rows", zip(GROWING, (94, 13)))
 def test_verdict_only_outage_stops_early(args, traced_rows):
-    """The threshold search's probes stop a failing run once its shift
-    provably grows; a traced run computes every stage."""
+    """The threshold search's two-mode probes stop a failing run once its
+    shift provably grows, and a one-mode probe computes no stage; a traced
+    run computes every stage."""
     rows = []
     assert _loop(args)(*args, rows=rows) is OUTAGE
     assert len(rows) == traced_rows
