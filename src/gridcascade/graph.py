@@ -42,15 +42,19 @@ def check_count(name: str, x, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
 
 
+def is_real(x) -> bool:
+    """Whether ``x`` is a real number (a numpy one too, but not a bool)."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Real)
+
+
 def check_graph_args(n: int, ps: Sequence[float]) -> None:
     """Raise ValueError unless ``n`` is an integer >= 1 and ``ps`` is a
-    nonempty sequence of edge probabilities: real numbers (not bools) in
-    [0, 1]."""
+    nonempty sequence of edge probabilities: real numbers in [0, 1]."""
     check_count("node count", n)
     if not ps:
         raise ValueError("need at least one edge probability, got none")
     for p in ps:
-        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+        if not is_real(p) or not 0.0 <= p <= 1.0:
             raise ValueError(f"edge probability must be a number in [0, 1], got {p!r}")
 
 

@@ -35,13 +35,10 @@ one stage on. ``run_recursion`` and ``run_bimodal`` return the rows as a
 trace: one state per row, the row's fields followed by the verdict.
 
 Without a list (the threshold search's two-mode probes) a loop may stop
-a run early, on a proven bound either way, with the verdict the remaining
-stages would reach: SURVIVES once ``_survival_proven`` shows p_n falling
-below ``tol`` within the stage budget with the floors below capacity, and
-COMPLETE_OUTAGE once the shift grows from one stage of ``_one_mode`` to
-the next and the budget covers the stages it needs to push the lower floor
-to capacity (so only with one mode left). A traced run computes every
-stage.
+a surviving run early, with the verdict the remaining stages would reach:
+SURVIVES once ``_survival_proven`` shows p_n falling below ``tol`` within
+the stage budget with the floors below capacity. Every other exit is the
+traced run's, and a traced run computes every stage.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .graph import check_count
+from .graph import check_count, is_real
 
 
 class Verdict(str, enum.Enum):
@@ -100,29 +97,32 @@ class BimodalState:
 
 
 def check_modes(a0: float, b0: float, pa: float) -> None:
-    """Reject a load model outside 0 < a0 <= b0 < 1, 0 <= pa <= 1."""
-    if not 0.0 < a0 < 1.0:
-        raise ValueError(f"a0 must be in (0, 1), got {a0}")
-    if not 0.0 < b0 < 1.0:
-        raise ValueError(f"b0 must be in (0, 1), got {b0}")
+    """Reject a load model outside 0 < a0 <= b0 < 1, 0 <= pa <= 1. Here and
+    below a value must be a real number (``is_real``), and a float skips
+    that call: every two-mode probe checks five values."""
+    if type(a0) is not float and not is_real(a0) or not 0.0 < a0 < 1.0:
+        raise ValueError(f"a0 must be a number in (0, 1), got {a0!r}")
+    if type(b0) is not float and not is_real(b0) or not 0.0 < b0 < 1.0:
+        raise ValueError(f"b0 must be a number in (0, 1), got {b0!r}")
     if a0 > b0:
         raise ValueError(f"need a0 <= b0, got a0={a0}, b0={b0}")
-    if not 0.0 <= pa <= 1.0:
-        raise ValueError(f"pa must be in [0, 1], got {pa}")
+    if type(pa) is not float and not is_real(pa) or not 0.0 <= pa <= 1.0:
+        raise ValueError(f"pa must be a number in [0, 1], got {pa!r}")
 
 
 def check_disturbance(d_m: float) -> None:
-    """Reject a disturbance mean that is not finite and > 0."""
-    if not 0.0 < d_m < math.inf:
-        raise ValueError(f"disturbance mean must be finite and > 0, got {d_m}")
+    """Reject a disturbance mean that is not a finite number > 0."""
+    if type(d_m) is not float and not is_real(d_m) or not 0.0 < d_m < math.inf:
+        raise ValueError(f"disturbance mean must be a finite number > 0, got {d_m!r}")
 
 
 def check_budget(max_iter: int, tol: float) -> None:
-    """Reject a max_iter that is not an integer >= 1, or a tol not finite and > 0."""
+    """Reject a max_iter that is not an integer >= 1, or a tol that is not a
+    finite number > 0."""
     if type(max_iter) is not int or max_iter < 1:  # every two-mode probe: skip the call
         check_count("max_iter", max_iter)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if type(tol) is not float and not is_real(tol) or not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
 
 
 def mean_failed_load(D: float, d_m: float) -> float:
@@ -200,9 +200,8 @@ def _init(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float
     check_disturbance(d_m)
     check_budget(max_iter, tol)
     mu = 1.0 + d_m
-    p0 = math.exp(-(1.0 - a0) / d_m)
-    if pa < 1.0:  # at pa = 1 the sum is 1.0*q(a0) + 0.0*q(b0) = q(a0) exactly
-        p0 = pa * p0 + (1.0 - pa) * math.exp(-(1.0 - b0) / d_m)
+    # at pa = 1 the sum is 1.0*q(a0) + 0.0*q(b0) = q(a0) exactly
+    p0 = pa * math.exp(-(1.0 - a0) / d_m) + (1.0 - pa) * math.exp(-(1.0 - b0) / d_m)
     if p0 >= 1.0:
         return COMPLETE_OUTAGE, (1, a0, 1.0, 0.0, mu), math.nan
     odds = p0 / (1.0 - p0)
@@ -215,12 +214,6 @@ def _init(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float
     return (COMPLETE_OUTAGE if p1 >= 1.0 else RUNNING), (1, a0, p1, D1, mu), e1
 
 
-# the outage exit of a verdict-only loop (see _one_mode): a shift must beat
-# the last one by GROWTH, and the stage count takes SLACK*d_m plus ROUNDING
-# off every later shift
-GROWTH, SLACK, ROUNDING = 1.0 + 1e-9, 1e-6, 2.0 ** -53
-
-
 def _renumbered_outage(rows: list | None) -> Verdict:
     """An outage exit that computed no stage: the last row again, one stage
     on."""
@@ -229,8 +222,8 @@ def _renumbered_outage(rows: list | None) -> Verdict:
     return COMPLETE_OUTAGE
 
 
-def _one_mode(row: tuple, e: float, grown: float, cut: float, d_m: float, max_iter: int,
-              tol: float, rows: list | None, tail: tuple) -> Verdict:
+def _one_mode(row: tuple, e: float, cut: float, d_m: float, max_iter: int, tol: float,
+              rows: list | None, tail: tuple) -> Verdict:
     """The stages of a run with one mode left, from the last stage's
     ``row`` = (n, a, p, D, mu) and e = expm1(D/d_m) to the verdict; each
     stage row, then ``tail``, goes to ``rows`` when a list is given. The
@@ -241,37 +234,11 @@ def _one_mode(row: tuple, e: float, grown: float, cut: float, d_m: float, max_it
     (p >= tol > 0 makes e > 0, and an infinite e gives D/e = 0), except
     after UPPER_DIES, which computes no e (it passes e = 0).
 
-    Without ``rows`` a run may stop early, on a proven bound either way.
-    A pass whose p has fallen below ``cut`` (1e-3 at the start of a run,
-    then a sixteenth of the last p tested) asks ``_survival_proven`` whether
-    the rest of the run must survive within ``max_iter``, and returns
-    SURVIVES at once when it must. A pass whose new shift D' beats
-    ``grown`` (GROWTH times the last shift D, or inf while the last stage
-    was not a one-mode one) returns COMPLETE_OUTAGE before computing its p
-    when the passes left after it, less a spare one, number more than
-    (1 - a')/(D' - SLACK*d_m - ROUNDING), a' = a + D being the new floor.
-
-    The proof: a stage maps D to D' = D * R(a, D), where R = Q(a) *
-    expm1(D/d_m)/D * mu(D) / (1 - p), Q = q/(1-q) and p = Q(a) *
-    expm1(D/d_m), and each factor grows with a or D (q with a, expm1(x)/x
-    with x, the mean failed load mu with D, and 1/(1-p) with both). So
-    after D' > D the next ratio R(a', D') is at least R(a, D) > 1, and by
-    induction every later shift is at least D' and every later p exceeds
-    the last one tested (>= tol): no later pass survives, and each raises
-    the floor by at least D'. The top-of-pass exit D >= 1 - a fires once
-    those rises pass the headroom 1 - a', within the count above, unless
-    another outage exit came first; every exit left is an outage.
-
-    Rounding: Q(a + D)/Q(a) >= exp(D/d_m) makes each exact ratio beat the
-    last by at least exp(D'/d_m) - 1 > 1e-6 once D' > SLACK*d_m, while the
-    roundings, expm1's argument error and the cancellation in 1 - q (which
-    stays above about 1e-6 while p < 1) move one computed ratio by far
-    less, so the computed shifts grow as the exact ones do; the GROWTH
-    margin covers the first ratio. A computed a + D below 1 is at most
-    ROUNDING short, hence D' less ROUNDING in the count, and the spare pass
-    absorbs the rounding of the test itself.
-
-    With ``rows`` neither early exit is taken: every stage runs."""
+    Without ``rows`` a pass whose p has fallen below ``cut`` (1e-3 at the
+    start of a run, then a sixteenth of the last p tested) asks
+    ``_survival_proven`` whether the rest of the run must survive within
+    ``max_iter``, and returns SURVIVES at once when it must. With ``rows``
+    every stage runs."""
     n, a, p, D, mu = row
     exp, expm1 = math.exp, math.expm1
     for _ in range(max_iter - n + 1):
@@ -289,10 +256,6 @@ def _one_mode(row: tuple, e: float, grown: float, cut: float, d_m: float, max_it
             except ZeroDivisionError:  # e = 0: UPPER_DIES computed none
                 mu = mean_failed_load(D, d_m)
             D = p / (1.0 - p) * mu
-            if (D > grown and rows is None
-                    and (D - SLACK * d_m - ROUNDING) * (max_iter - n) > 1.0 - a):
-                return COMPLETE_OUTAGE
-            grown = D * GROWTH
             q = exp(-(1.0 - a) / d_m)
             e = expm1(D / d_m)
             p = q / (1.0 - q) * e
@@ -319,7 +282,7 @@ def run_recursion(
     verdict, row, e = _init(a0, a0, 1.0, d_m, max_iter, tol)
     rows = [row]
     if verdict is RUNNING:
-        verdict = _one_mode(row, e, math.inf, tol, d_m, max_iter, tol, rows, ())
+        verdict = _one_mode(row, e, tol, d_m, max_iter, tol, rows, ())
     return verdict, trace(MeanFieldState, verdict, rows)
 
 
@@ -338,11 +301,7 @@ def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int =
     3. LOWER_ONLY: ``_one_mode`` on the lower floor.
 
     Without ``rows`` a small p is tested for proven survival in every
-    phase, and a growing shift for a proven outage in phase 3 alone, from
-    its second stage on, both as in ``_one_mode``: in phase 1 the upper
-    mode's death can still leave the lower mode alive, and a stage that
-    follows UPPER_DIES or BOTH_ALIVE does not start from the lower floor's
-    own p."""
+    phase, as in ``_one_mode``."""
     verdict, row, e = _init(a0, b0, pa, d_m, max_iter, tol)
     if rows is not None:
         rows.append(row + (b0, INIT, math.nan))
@@ -406,8 +365,7 @@ def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int =
             rows.append((n, a, p, D, mu, 1.0, UPPER_DIES, p_tilde))
         if not 0.0 <= p < 1.0 or a >= 1.0:
             return COMPLETE_OUTAGE
-    return _one_mode((n, a, p, D, mu), e, math.inf, cut, d_m, max_iter, tol, rows,
-                     (1.0, LOWER_ONLY, nan))
+    return _one_mode((n, a, p, D, mu), e, cut, d_m, max_iter, tol, rows, (1.0, LOWER_ONLY, nan))
 
 
 def run_bimodal(

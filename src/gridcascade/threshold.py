@@ -4,8 +4,9 @@
 some disturbance mean and complete outage above it, brackets that boundary
 by geometric scan and closes in by bisection. A one-mode verdict is exact
 (``model_verdict``) and monotone; a two-mode probe runs the recursion,
-whose verdict flips more than once for some splits (README, model
-conventions), and there the search returns one of the flips.
+stopping early only on proven survival. Its verdict flips more than once
+for some splits (README, model conventions), and there the search
+returns one of the flips.
 ``coarse_scan`` checks the assumption on an explicit grid. Undetermined
 two-mode verdicts (max_iter exhausted near the boundary) are
 conservatively counted as failures.
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .cascade import BimodalLoads, DeltaLoads
+from .graph import is_real
 from .meanfield import Verdict, bimodal_verdict, check_budget, check_disturbance
 
 # unused, but perfbench/tracing.py wraps them here
@@ -49,7 +51,7 @@ def model_verdict(
     log1p(d_m) - log(d_m), as 1/d_m overflows at a subnormal d_m. The
     verdict is never Undetermined, and ``max_iter`` and ``tol`` go unused.
     A ``BimodalLoads`` model runs the two-mode recursion's scalar loop
-    alone, which may stop a run early on a proven bound either way."""
+    alone, which may stop a surviving run early on a proven bound."""
     if isinstance(model, DeltaLoads):
         check_disturbance(d_m)
         return (Verdict.SURVIVES if d_m * (1.0 + math.log1p(d_m) - math.log(d_m))
@@ -82,8 +84,8 @@ def find_d_critical(
     """
     if not isinstance(model, MeanFieldModel):
         raise TypeError(f"model must be a DeltaLoads or a BimodalLoads, got {model!r}")
-    if not 0.0 < tol_d < math.inf:
-        raise ValueError(f"tol_d must be finite and > 0, got {tol_d}")
+    if not is_real(tol_d) or not 0.0 < tol_d < math.inf:
+        raise ValueError(f"tol_d must be a finite number > 0, got {tol_d!r}")
     check_budget(max_iter, tol)
     probes: dict[float, Verdict] = {}
 

@@ -6,6 +6,7 @@ import pytest
 from gridcascade import (
     BimodalLoads,
     DeltaLoads,
+    UniformLoads,
     Verdict,
     apply_disturbance,
     find_d_critical,
@@ -202,6 +203,37 @@ def test_two_mode_rules_are_one_set_with_one_message(a0, b0, pa, d_m):
         _message(bimodal_verdict, a0, b0, pa, d_m),
     }
     assert len(messages) == 1, messages
+
+
+# each real-number argument of the library, at the entry point that checks
+# it, with good values for the rest
+REAL_ARGS = {
+    "a0": lambda x: BimodalLoads(x, 0.9, 0.25),
+    "b0": lambda x: BimodalLoads(0.5, x, 0.25),
+    "pa": lambda x: BimodalLoads(0.5, 0.9, x),
+    "d_m": lambda x: monte_carlo(5, 0.5, UniformLoads(), x, 2, 0),
+    "tol": lambda x: find_d_critical(BimodalLoads(0.5, 0.9, 0.25), tol=x),
+    "tol_d": lambda x: find_d_critical(DeltaLoads(0.8), tol_d=x),
+}
+
+
+@pytest.mark.parametrize("arg,value", [
+    *((arg, value) for arg in REAL_ARGS for value in (True, "0.1", None)),
+    ("every", "np.float64 or int"),
+])
+def test_a_real_argument_must_be_a_real_number(arg, value):
+    """A bool, a string or None raises ValueError wherever a real number
+    enters; a numpy float or an int is a real number."""
+    if arg in REAL_ARGS:
+        with pytest.raises(ValueError, match=f"^{arg if arg != 'd_m' else 'disturbance mean'} "):
+            REAL_ARGS[arg](value)
+        return
+    f = np.float64
+    assert BimodalLoads(f(0.5), f(0.9), 1) == BimodalLoads(0.5, 0.9, 1.0)
+    assert REAL_ARGS["d_m"](1) == REAL_ARGS["d_m"](f(1.0)) == REAL_ARGS["d_m"](1.0)
+    assert REAL_ARGS["tol"](f(1e-12)) == REAL_ARGS["tol"](1e-12)
+    assert REAL_ARGS["tol_d"](1) == REAL_ARGS["tol_d"](f(1.0)) == REAL_ARGS["tol_d"](1.0)
+    assert find_d_critical(BimodalLoads(f(0.5), 0.9, f(0.25))) == REAL_ARGS["tol"](1e-12)
 
 
 # a surviving, a failing, an outage-at-stage-0 (p0 rounds to 1) and an

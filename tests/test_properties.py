@@ -326,8 +326,8 @@ def _call(loop, *args, rows=None):
 
 def _outcome(loop, *args):
     """repr of the traced call's (verdict, rows), or of its exception, after
-    checking that the verdict-only call, which may stop a run early on a
-    proven bound, ends the same way."""
+    checking that the verdict-only call, which may stop a surviving run
+    early on a proven bound, ends the same way."""
     rows = []
     traced = _call(loop, *args, rows=rows)
     assert _agrees(_call(loop, *args), traced, loop is one_mode_verdict), (loop.__name__, args)
@@ -355,9 +355,9 @@ def _loop(args):
 @pytest.mark.parametrize("mode", [(0.8,), (0.5, 0.9, 0.25), (0.4, 0.9, 0.8)])
 def test_verdict_only_calls_match_traced_calls_next_to_the_threshold(mode):
     """Right at the threshold a surviving run decays slowest and a failing
-    run grows slowest, where the survival and outage bounds are tightest;
-    on both sides of d_low and of d_high the verdict-only call must end as
-    the traced call does (as ``_agrees`` reads it for a one-mode call)."""
+    run grows slowest, where the survival bound is tightest; on both sides
+    of d_low and of d_high the verdict-only call must end as the traced
+    call does (as ``_agrees`` reads it for a one-mode call)."""
     model = DeltaLoads(*mode) if len(mode) == 1 else BimodalLoads(*mode)
     res = threshold.find_d_critical(model)
     for k in range(1, 10):
@@ -383,16 +383,17 @@ def test_verdict_only_survival_needs_the_traced_stage_budget(args):
 
 
 # failing probes whose shift grows again after a dip: one-mode, and
-# two-mode after the upper mode has died (traced rows: 94 and 13)
+# two-mode after the upper mode has died (traced rows: 94 and 13); only
+# the traced stages decide them, as no outage is proven early
 GROWING = [(0.8, 0.0493125), (0.4, 0.9, 0.8, 0.0485)]
 
 
 @pytest.mark.parametrize("args", GROWING)
 def test_verdict_only_outage_needs_the_traced_stage_budget(args):
     """A traced outage of N rows is Undetermined at smaller budgets: a
-    two-mode run stopped on its growing shift must still fit the budget
-    the full loop would use, at every budget. A one-mode probe runs no
-    stage, so it fails at every budget."""
+    two-mode probe computes every stage of a failing run, so it gives the
+    traced call's verdict at every budget. A one-mode probe runs no stage,
+    so it fails at every budget."""
     rows = []
     assert _loop(args)(*args, rows=rows) is OUTAGE
     for max_iter in range(1, len(rows) + 2):
@@ -438,11 +439,10 @@ def test_verdict_only_survivor_stops_early(args):
     assert 2 * _expm1_calls(_loop(args), *args) <= full
 
 
-@pytest.mark.parametrize("args,traced_rows", zip(GROWING, (94, 13)))
+@pytest.mark.parametrize("args,traced_rows", [(GROWING[0], 94)])
 def test_verdict_only_outage_stops_early(args, traced_rows):
-    """The threshold search's two-mode probes stop a failing run once its
-    shift provably grows, and a one-mode probe computes no stage; a traced
-    run computes every stage."""
+    """A one-mode probe, the closed form, computes no stage of a failing
+    run; a traced run computes every stage."""
     rows = []
     assert _loop(args)(*args, rows=rows) is OUTAGE
     assert len(rows) == traced_rows
