@@ -431,7 +431,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = _ArgumentParser(
         prog="gridcascade",
         description="Cascading-failure simulator and mean-field solver",

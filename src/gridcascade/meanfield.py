@@ -23,10 +23,14 @@ three branches, in order, one phase each:
     UPPER_DIES    the shift kills the b-mode exactly this stage
     LOWER_ONLY    only the a-mode remains
 
-``run_recursion`` (one mode) and ``bimodal_verdict`` (two) iterate these
-scalars in locals, one loop per phase, from ``_init``'s input checks and
-stage 1 to the verdict; ``_one_mode`` is the two-mode LOWER_ONLY loop and
-every later stage of the one-mode run. Given a list, a loop appends each
+``run_recursion`` (one mode) and ``bimodal_verdict`` (two) check their
+inputs once (``_check``: the model, then d_m, then the stage budget), then
+iterate these scalars in locals, one loop per phase, from ``_init``'s stage
+1 to the verdict; ``_two_mode`` is the two-mode run after the checks, and
+``_one_mode`` its LOWER_ONLY loop and every later stage of the one-mode
+run. A threshold probe (``threshold.model_verdict``) runs ``_two_mode``
+after checking d_m and the budget alone: its model was checked when it was
+built, and the search checks it once more. Given a list, a loop appends each
 stage as a plain row ``(n, a_n, p_n, D_n, mu_prev)``, mu_prev being the
 mu that produced D_n; a two-mode row goes on with ``(b_n, branch,
 p_tilde)``, p_tilde being the failing mass of an UPPER_DIES stage (else
@@ -96,14 +100,18 @@ class BimodalState:
     verdict: Verdict = Verdict.RUNNING
 
 
-def check_modes(a0: float, b0: float, pa: float) -> None:
-    """Reject a load model outside 0 < a0 <= b0 < 1, 0 <= pa <= 1. Here and
+def check_level(name: str, x: float) -> None:
+    """Reject a load level ``name`` that is not a number in (0, 1). Here and
     below a value must be a real number (``is_real``), and a float skips
-    that call: every two-mode probe checks five values."""
-    if type(a0) is not float and not is_real(a0) or not 0.0 < a0 < 1.0:
-        raise ValueError(f"a0 must be a number in (0, 1), got {a0!r}")
-    if type(b0) is not float and not is_real(b0) or not 0.0 < b0 < 1.0:
-        raise ValueError(f"b0 must be a number in (0, 1), got {b0!r}")
+    that call: every threshold probe checks d_m and tol."""
+    if type(x) is not float and not is_real(x) or not 0.0 < x < 1.0:
+        raise ValueError(f"{name} must be a number in (0, 1), got {x!r}")
+
+
+def check_modes(a0: float, b0: float, pa: float) -> None:
+    """Reject a load model outside 0 < a0 <= b0 < 1, 0 <= pa <= 1."""
+    check_level("a0", a0)
+    check_level("b0", b0)
     if a0 > b0:
         raise ValueError(f"need a0 <= b0, got a0={a0}, b0={b0}")
     if type(pa) is not float and not is_real(pa) or not 0.0 <= pa <= 1.0:
@@ -188,17 +196,22 @@ def _survival_proven(a: float, b: float, pa: float, p: float, D: float, d_m: flo
         return False
 
 
-def _init(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float):
-    """Check a run's inputs (the model, then d_m, then the stage budget)
-    and take its first stage: the verdict, the row-1 scalars
-    ``(1, a0, p1, D1, 1 + d_m)`` and e1 = expm1(D1/d_m). From the stage-0
-    failure probability p0 = pa*q(a0) + (1-pa)*q(b0), q(x) =
-    exp(-(1-x)/d_m), D1 = p0/(1-p0) * (1+d_m), the large-N limit of the
-    load failed at stage 0 per survivor, and p1 = p0/(1-p0) * e1. expm1
-    overflows for blackout-scale D1, an outage."""
+def _check(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float) -> None:
+    """Check a run's inputs: the model, then d_m, then the stage budget."""
     check_modes(a0, b0, pa)
     check_disturbance(d_m)
     check_budget(max_iter, tol)
+
+
+def _init(a0: float, b0: float, pa: float, d_m: float):
+    """The first stage of a run from checked inputs: the verdict, the row-1
+    scalars ``(1, a0, p1, D1, 1 + d_m)`` and e1 = expm1(D1/d_m). From the
+    stage-0 failure probability p0 = pa*q(a0) + (1-pa)*q(b0), q(x) =
+    exp(-(1-x)/d_m), D1 = p0/(1-p0) * (1+d_m), the large-N limit of the
+    load failed at stage 0 per survivor, and p1 = p0/(1-p0) * e1. expm1
+    overflows for blackout-scale D1, an outage. It checks nothing: the
+    entry points check first (``_check``), and a threshold probe runs on a
+    model that was checked when it was built."""
     mu = 1.0 + d_m
     # at pa = 1 the sum is 1.0*q(a0) + 0.0*q(b0) = q(a0) exactly
     p0 = pa * math.exp(-(1.0 - a0) / d_m) + (1.0 - pa) * math.exp(-(1.0 - b0) / d_m)
@@ -234,6 +247,12 @@ def _one_mode(row: tuple, e: float, cut: float, d_m: float, max_iter: int, tol: 
     (p >= tol > 0 makes e > 0, and an infinite e gives D/e = 0), except
     after UPPER_DIES, which computes no e (it passes e = 0).
 
+    The loop takes mu0 = 1 + d_m once and writes q as exp((a - 1)/d_m);
+    both are the stage formulas bit for bit. Python evaluates 1 + d_m - D/e
+    as (1 + d_m) - D/e, and round-to-nearest is symmetric in sign, so a - 1
+    is -(1 - a) exactly, except at a = 1: there they are +0 and -0, and exp
+    gives 1 for both.
+
     Without ``rows`` a pass whose p has fallen below ``cut`` (1e-3 at the
     start of a run, then a sixteenth of the last p tested) asks
     ``_survival_proven`` whether the rest of the run must survive within
@@ -241,6 +260,7 @@ def _one_mode(row: tuple, e: float, cut: float, d_m: float, max_iter: int, tol: 
     every stage runs."""
     n, a, p, D, mu = row
     exp, expm1 = math.exp, math.expm1
+    mu0 = 1.0 + d_m
     for _ in range(max_iter - n + 1):
         if p < cut:
             if p < tol or _survival_proven(a, 1.0, 1.0, p, D, d_m, tol, max_iter - n + 1):
@@ -252,11 +272,11 @@ def _one_mode(row: tuple, e: float, cut: float, d_m: float, max_iter: int, tol: 
         n += 1
         try:
             try:
-                mu = 1.0 + d_m - D / e
+                mu = mu0 - D / e
             except ZeroDivisionError:  # e = 0: UPPER_DIES computed none
                 mu = mean_failed_load(D, d_m)
             D = p / (1.0 - p) * mu
-            q = exp(-(1.0 - a) / d_m)
+            q = exp((a - 1.0) / d_m)
             e = expm1(D / d_m)
             p = q / (1.0 - q) * e
         except (OverflowError, ZeroDivisionError):  # q rounds to 1.0 as a does
@@ -279,7 +299,8 @@ def run_recursion(
     Survives when p_n drops below ``tol``; Undetermined when ``max_iter``
     stages pass without resolution (slow dynamics near the threshold).
     """
-    verdict, row, e = _init(a0, a0, 1.0, d_m, max_iter, tol)
+    _check(a0, a0, 1.0, d_m, max_iter, tol)
+    verdict, row, e = _init(a0, a0, 1.0, d_m)
     rows = [row]
     if verdict is RUNNING:
         verdict = _one_mode(row, e, tol, d_m, max_iter, tol, rows, ())
@@ -289,8 +310,16 @@ def run_recursion(
 def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int = 10_000,
                     tol: float = 1e-12, rows: list | None = None) -> Verdict:
     """The verdict of ``run_bimodal``; each stage row goes to ``rows`` when
-    a list is given. The run goes through its branches in order, one phase
-    each, on one budget of ``max_iter`` passes:
+    a list is given. Checks the inputs, then runs ``_two_mode``."""
+    _check(a0, b0, pa, d_m, max_iter, tol)
+    return _two_mode(a0, b0, pa, d_m, max_iter, tol, rows)
+
+
+def _two_mode(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float,
+              rows: list | None) -> Verdict:
+    """``bimodal_verdict`` on checked inputs. The run goes through its
+    branches in order, one phase each, on one budget of ``max_iter``
+    passes:
 
     1. BOTH_ALIVE while the shift leaves the upper floor below capacity:
        the unimodal stage formulas and carried e = expm1(D/d_m), written
@@ -300,14 +329,15 @@ def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int =
        or none if b + D rounded to 1 in phase 1;
     3. LOWER_ONLY: ``_one_mode`` on the lower floor.
 
+    Phase 1 takes mu0 = 1 + d_m once and writes q as ``_one_mode`` does.
     Without ``rows`` a small p is tested for proven survival in every
     phase, as in ``_one_mode``."""
-    verdict, row, e = _init(a0, b0, pa, d_m, max_iter, tol)
+    verdict, row, e = _init(a0, b0, pa, d_m)
     if rows is not None:
         rows.append(row + (b0, INIT, math.nan))
     if verdict is not RUNNING:
         return verdict
-    pb = 1.0 - pa
+    pb, mu0 = 1.0 - pa, 1.0 + d_m
     exp, expm1, nan = math.exp, math.expm1, math.nan
     n, a, p, D, mu = row
     b = b0
@@ -323,9 +353,9 @@ def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int =
         b += D
         n += 1
         try:
-            mu = 1.0 + d_m - D / e
+            mu = mu0 - D / e
             D = p / (1.0 - p) * mu
-            q = pa * exp(-(1.0 - a) / d_m) + pb * exp(-(1.0 - b) / d_m)
+            q = pa * exp((a - 1.0) / d_m) + pb * exp((b - 1.0) / d_m)
             e = expm1(D / d_m)
             p = q / (1.0 - q) * e
         except (OverflowError, ZeroDivisionError):

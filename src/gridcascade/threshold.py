@@ -15,11 +15,21 @@ conservatively counted as failures.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .cascade import BimodalLoads, DeltaLoads
 from .graph import is_real
-from .meanfield import Verdict, bimodal_verdict, check_budget, check_disturbance
+from .meanfield import (
+    COMPLETE_OUTAGE,
+    SURVIVES,
+    Verdict,
+    _two_mode,
+    check_budget,
+    check_disturbance,
+    check_level,
+    check_modes,
+)
 
 # unused, but perfbench/tracing.py wraps them here
 from .meanfield import run_bimodal, run_recursion  # noqa: F401
@@ -44,24 +54,35 @@ class ThresholdResult:
 def model_verdict(
     model: MeanFieldModel, d_m: float, max_iter: int = 10_000, tol: float = 1e-12
 ) -> Verdict:
-    """Mean-field verdict for one disturbance level. A ``DeltaLoads`` model
-    runs no stage: every alive node carries a0 plus one shared shift, and
-    the cascade stops short of capacity exactly when d_m*(1 + ln(1 +
-    1/d_m)) <= 1 - a0, whose left side increases in d_m. The log is
-    log1p(d_m) - log(d_m), as 1/d_m overflows at a subnormal d_m. The
-    verdict is never Undetermined, and ``max_iter`` and ``tol`` go unused.
-    A ``BimodalLoads`` model runs the two-mode recursion's scalar loop
-    alone, which may stop a surviving run early on a proven bound."""
+    """Mean-field verdict for one disturbance level. It checks ``d_m``,
+    then ``max_iter`` and ``tol``, for either model, but not the model:
+    that was checked when it was built.
+
+    A ``DeltaLoads`` model runs no stage: every alive node carries a0 plus
+    one shared shift, and the cascade stops short of capacity exactly when
+    d_m*(1 + ln(1 + 1/d_m)) <= 1 - a0, whose left side increases in d_m.
+    The log is log1p(d_m) - log(d_m), as 1/d_m overflows at a subnormal
+    d_m. The verdict is never Undetermined, and ``max_iter`` and ``tol``
+    are checked but unused. A ``BimodalLoads`` model runs the two-mode
+    recursion's scalar loop alone, which may stop a surviving run early on
+    a proven bound."""
+    check_disturbance(d_m)
+    check_budget(max_iter, tol)
     if isinstance(model, DeltaLoads):
-        check_disturbance(d_m)
-        return (Verdict.SURVIVES if d_m * (1.0 + math.log1p(d_m) - math.log(d_m))
-                <= 1.0 - model.a0 else Verdict.COMPLETE_OUTAGE)
-    return bimodal_verdict(model.a0, model.b0, model.pa, d_m, max_iter, tol)
+        return (SURVIVES if d_m * (1.0 + math.log1p(d_m) - math.log(d_m))
+                <= 1.0 - model.a0 else COMPLETE_OUTAGE)
+    return _two_mode(model.a0, model.b0, model.pa, d_m, max_iter, tol, None)
+
+
+def _check_resolution(tol_d: float) -> None:
+    """Reject a bisection resolution that is not a finite number > 0."""
+    if not is_real(tol_d) or not 0.0 < tol_d < math.inf:
+        raise ValueError(f"tol_d must be a finite number > 0, got {tol_d!r}")
 
 
 def _fails(v: Verdict) -> bool:
     # Undetermined counts as failure: conservative resilience estimate
-    return v is not Verdict.SURVIVES
+    return v is not SURVIVES
 
 
 def find_d_critical(
@@ -79,20 +100,22 @@ def find_d_critical(
     the bracket needs no final check. Bisection stops at ``tol_d`` or at
     two adjacent floats, whichever comes first. ``undetermined_in_bracket``
     reports whether any (two-mode) probe came back Undetermined, and
-    ``evaluations`` counts the levels evaluated. ``max_iter`` and ``tol``
-    are checked before the first probe.
+    ``evaluations`` counts the levels evaluated. A two-mode model, then
+    ``tol_d``, ``max_iter`` and ``tol`` are checked before the first probe.
     """
     if not isinstance(model, MeanFieldModel):
         raise TypeError(f"model must be a DeltaLoads or a BimodalLoads, got {model!r}")
-    if not is_real(tol_d) or not 0.0 < tol_d < math.inf:
-        raise ValueError(f"tol_d must be a finite number > 0, got {tol_d!r}")
+    if isinstance(model, BimodalLoads):  # once per search: its probes do not check it
+        check_modes(model.a0, model.b0, model.pa)
+    _check_resolution(tol_d)
     check_budget(max_iter, tol)
     probes: dict[float, Verdict] = {}
 
     def fails(d: float) -> bool:
-        if d not in probes:
-            probes[d] = model_verdict(model, d, max_iter=max_iter, tol=tol)
-        return _fails(probes[d])
+        verdict = probes.get(d)
+        if verdict is None:
+            verdict = probes[d] = model_verdict(model, d, max_iter=max_iter, tol=tol)
+        return _fails(verdict)
 
     def result(d_critical: float, lo: float, hi: float) -> ThresholdResult:
         return ThresholdResult(d_critical, lo, hi, tol_d,
@@ -149,7 +172,9 @@ class UnimodalSweepRow:
 
 
 def sweep_dcrit_vs_a0(a0_grid: list[float], tol_d: float = 1e-4) -> list[UnimodalSweepRow]:
-    """Critical disturbance for each constant-load level."""
+    """Critical disturbance for each constant-load level; ``tol_d`` is
+    checked before the first search, and each level as its model is built."""
+    _check_resolution(tol_d)
     rows = []
     for a0 in a0_grid:
         res = find_d_critical(DeltaLoads(a0), tol_d=tol_d)
@@ -184,7 +209,19 @@ def sweep_bimodal_fixed_mean(
     an infeasible marker row too: a0 names the lighter mode, and the
     mirrored pair (b0, a0) covers that split. The a0 = b0 = mean cell
     itself uses the single-mode model.
+
+    The inputs are checked before the first search: ``mean`` must be a
+    finite number, every grid value a number in (0, 1), and ``tol_d`` a
+    finite number > 0. A finite mean outside (0, 1) gives infeasible rows.
     """
+    # abs, not math.isfinite, which raises for an int past the float range
+    if not is_real(mean) or not abs(mean) <= sys.float_info.max:
+        raise ValueError(f"mean must be a finite number, got {mean!r}")
+    for x in a0_grid:
+        check_level("a0", x)
+    for x in b0_grid:
+        check_level("b0", x)
+    _check_resolution(tol_d)
     rows = []
     for a0 in a0_grid:
         for b0 in b0_grid:

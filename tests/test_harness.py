@@ -533,6 +533,21 @@ def test_command_line_errors_exit_1(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
+    """The parser is built once per process; a call that fails to parse
+    leaves nothing behind for the next one."""
+    path = write_config(tmp_path, "sb.json", {
+        "mean": 0.8, "a0_grid": [0.5, 0.8], "b0_grid": [0.8, 0.9], "tol_d": 1e-3,
+    })
+    harness.build_parser.cache_clear()
+    assert main(["sweep-bimodal", "--config", path, "--out", str(tmp_path / "first")]) == 0
+    assert main(["sweep-bimodal", "--config", path, "--threads", "abc"]) == 1
+    assert main(["sweep-bimodal", "--config", path, "--out", str(tmp_path / "next")]) == 0
+    assert harness.build_parser.cache_info().misses == 1
+    table = "dcrit_fixed_mean.csv"
+    assert (tmp_path / "next" / table).read_bytes() == (tmp_path / "first" / table).read_bytes()
+
+
 @pytest.mark.parametrize("command", list(harness.COMMANDS))
 def test_threads_default_to_one(command):
     # a pool costs more than it saves on small runs: serial unless asked

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from gridcascade import (
     Verdict,
     coarse_scan,
     find_d_critical,
+    meanfield,
     monte_carlo,
     run_recursion,
     sweep_bimodal_fixed_mean,
@@ -391,3 +394,87 @@ def test_sweeps_carry_the_evaluation_count():
     rows = sweep_bimodal_fixed_mean(0.8, [0.5, 0.85], [0.9])
     assert rows[0].evaluations == find_d_critical(BimodalLoads(0.5, 0.9, 0.25)).evaluations
     assert not rows[1].feasible and rows[1].evaluations == 0
+
+
+# sha256 of the repr of 32 find_d_critical results on seeded random
+# two-mode splits (pa 0, 1 or random; tol_d 1e-4 and 1e-8 in turn),
+# recorded before the probes stopped checking their model; 12 of the
+# searches met an Undetermined probe
+SEARCH_GOLDEN = "afd1fa157adfd04e5fc7f55cf8e732f1be700f318fb094ff76af0bd4540868d2"
+
+
+def test_two_mode_searches_match_golden_digest():
+    rng = random.Random(20261020)
+    digest = hashlib.sha256()
+    for k in range(32):
+        a0 = rng.uniform(0.01, 0.99)
+        b0 = rng.uniform(a0, 0.99)
+        pa = rng.choice((0.0, 1.0, rng.random()))
+        res = find_d_critical(BimodalLoads(a0, b0, pa), tol_d=(1e-4, 1e-8)[k % 2])
+        digest.update(repr(res).encode())
+    assert digest.hexdigest() == SEARCH_GOLDEN
+
+
+@pytest.mark.parametrize("model,checks", [
+    (BimodalLoads(0.5, 0.9, 0.25), 1), (BimodalLoads(0.4, 0.9, 0.8), 1), (DeltaLoads(0.8), 0),
+], ids=repr)
+def test_a_search_checks_its_model_at_most_once(monkeypatch, model, checks):
+    """The model is checked when it is built and once per search, never
+    per probe."""
+    calls = []
+    real = meanfield.check_modes
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (meanfield, threshold):
+        monkeypatch.setattr(module, "check_modes", counting)
+    assert find_d_critical(model).evaluations > 1
+    assert len(calls) == checks
+
+
+@pytest.mark.parametrize("model", [DeltaLoads(0.8), BimodalLoads(0.5, 0.9, 0.25)], ids=repr)
+@pytest.mark.parametrize("d_m,max_iter,tol,message", [
+    (0.05, 0, 1e-12, "max_iter"),
+    (0.05, 1.5, 1e-12, "max_iter"),
+    (0.05, True, 1e-12, "max_iter"),
+    (0.05, 10_000, 0.0, "tol"),
+    (0.05, 10_000, math.nan, "tol"),
+    (0.05, 10_000, "1e-12", "tol"),
+    (math.nan, 0, 0.0, "disturbance mean"),  # d_m first
+    (0.05, 0, 0.0, "max_iter"),              # then max_iter
+])
+def test_a_probe_checks_d_m_then_the_budget_for_either_model(model, d_m, max_iter, tol,
+                                                            message):
+    # a DeltaLoads probe used to return COMPLETE_OUTAGE at max_iter=0
+    with pytest.raises(ValueError, match=f"^{message} "):
+        model_verdict(model, d_m, max_iter=max_iter, tol=tol)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"mean": math.nan}, "mean must be a finite number, got nan"),
+    ({"mean": math.inf}, "mean must be a finite number, got inf"),
+    ({"mean": True}, "mean must be a finite number, got True"),
+    ({"a0_grid": [0.5, math.nan]}, "a0 must be a number in (0, 1), got nan"),
+    ({"b0_grid": [math.inf]}, "b0 must be a number in (0, 1), got inf"),
+    ({"a0_grid": [1.5]}, "a0 must be a number in (0, 1), got 1.5"),
+    ({"a0_grid": ["0.5"]}, "a0 must be a number in (0, 1), got '0.5'"),
+    ({"a0_grid": [None]}, "a0 must be a number in (0, 1), got None"),
+    ({"tol_d": 0.0}, "tol_d must be a finite number > 0, got 0.0"),
+])
+def test_fixed_mean_sweep_rejects_bad_input_before_any_search(monkeypatch, kwargs, message):
+    """Each of these used to give infeasible marker rows (or a TypeError);
+    the default grid has no feasible cell, so no search would run."""
+    monkeypatch.setattr(threshold, "find_d_critical", lambda *a, **k: pytest.fail("searched"))
+    args = {"mean": 0.8, "a0_grid": [0.85], "b0_grid": [0.9], "tol_d": 1e-4, **kwargs}
+    with pytest.raises(ValueError) as err:
+        sweep_bimodal_fixed_mean(**args)
+    assert str(err.value) == message
+
+
+def test_sweeps_check_the_resolution_up_front():
+    with pytest.raises(ValueError, match="^tol_d must be a finite number > 0, got 0.0$"):
+        sweep_dcrit_vs_a0([], tol_d=0.0)
+    # a finite mean outside (0, 1) is no input error: no split can have it
+    assert [r.feasible for r in sweep_bimodal_fixed_mean(1.5, [0.5], [0.5, 0.9])] == [False] * 2
