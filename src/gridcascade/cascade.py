@@ -39,13 +39,12 @@ import numpy as np
 
 # generate_er_graph: unused, but perfbench/tracing.py wraps it here
 from .graph import (  # noqa: F401
-    check_count,
     check_graph_args,
     draw_weights,
     generate_er_graph,
     threshold_adjacency,
 )
-from .meanfield import check_disturbance, check_modes
+from .meanfield import check_count, check_modes, check_positive
 
 # the ufunc reduction behind ndarray.sum, without the method wrapper
 _sum = np.add.reduce
@@ -101,7 +100,7 @@ def init_loads(n: int, spec: LoadDistributionSpec, rng: np.random.Generator) -> 
 def apply_disturbance(loads: np.ndarray, d_m: float, rng: np.random.Generator) -> np.ndarray:
     """Add independent Exponential(mean d_m) shocks to every node of the
     1-D array-like ``loads``, as a new float64 array."""
-    check_disturbance(d_m)
+    check_positive("disturbance mean", d_m)
     loads = np.asarray(loads, dtype=np.float64)
     if loads.ndim != 1:
         raise ValueError(f"loads must be 1-D, got shape {loads.shape}")
@@ -295,7 +294,7 @@ def monte_carlo(
     grid = np.ndim(p) > 0
     ps = tuple(p) if grid else (p,)
     check_graph_args(n, ps)
-    check_disturbance(d_m)
+    check_positive("disturbance mean", d_m)
     if not isinstance(spec, LoadDistributionSpec):
         raise TypeError(f"spec must be a load distribution spec, got {spec!r}")
     check_count("master_seed", master_seed, 0)

@@ -16,11 +16,12 @@ the two steps at one ``p``.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 import numpy as np
+
+from .meanfield import check_count, check_probability
 
 
 def generate_er_graph(n: int, p: float, rng: np.random.Generator) -> np.ndarray | None:
@@ -35,18 +36,6 @@ def generate_er_graph(n: int, p: float, rng: np.random.Generator) -> np.ndarray 
     return threshold_adjacency(p, draw_weights(n, (p,), rng))
 
 
-def check_count(name: str, x, low: int = 1) -> None:
-    """Raise ValueError unless ``x`` is an integer (a numpy one too, but not
-    a bool) of at least ``low``."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
-
-
-def is_real(x) -> bool:
-    """Whether ``x`` is a real number (a numpy one too, but not a bool)."""
-    return not isinstance(x, bool) and isinstance(x, numbers.Real)
-
-
 def check_graph_args(n: int, ps: Sequence[float]) -> None:
     """Raise ValueError unless ``n`` is an integer >= 1 and ``ps`` is a
     nonempty sequence of edge probabilities: real numbers in [0, 1]."""
@@ -54,8 +43,7 @@ def check_graph_args(n: int, ps: Sequence[float]) -> None:
     if not ps:
         raise ValueError("need at least one edge probability, got none")
     for p in ps:
-        if not is_real(p) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"edge probability must be a number in [0, 1], got {p!r}")
+        check_probability("edge probability", p)
 
 
 def draw_weights(

@@ -10,8 +10,11 @@ Subcommands map one-to-one onto plot-ready tables:
     sweep-dcrit         d_critical vs constant load level
     sweep-bimodal       d_critical over a fixed-mean two-mode grid
 
-Each subcommand's schema in ``COMMANDS`` gives every config key a check and
-a default; ``validate`` applies it before any work runs.
+Each subcommand's schema in ``COMMANDS`` gives every config key a rule and
+a default; ``validate`` applies them before any work runs. The number rules
+are the library's own input checks, so a bad value exits 1 with the message
+the library would raise, and a model's fields are checked by its
+constructor.
 
 All numbers are serialized with 17 significant digits, so re-running a
 command with the same config and seed reproduces every table byte for
@@ -31,7 +34,7 @@ import math
 import platform
 import sys
 from datetime import datetime, timezone
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +46,15 @@ from .cascade import (
     UniformLoads,
     monte_carlo,
 )
-from .meanfield import run_bimodal, run_recursion
+from .meanfield import (
+    check_count,
+    check_finite,
+    check_level,
+    check_positive,
+    check_probability,
+    run_bimodal,
+    run_recursion,
+)
 from .threshold import (
     find_d_critical,
     sweep_bimodal_fixed_mean,
@@ -55,123 +66,91 @@ class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
 
 
-# --- value checks ---------------------------------------------------------
-# A check returns its value unconverted (the tables print ints and floats
-# differently) or, for a spec, the object it describes; else ValueError.
+# --- config schema ----------------------------------------------------------
+# A key's rule is called as ``rule(key, value)`` and returns the value
+# unconverted (the tables print ints and floats differently), the points of
+# a grid, or the object a spec describes; else it raises ValueError. The
+# number rules are the library's own (``meanfield``), so a bad value is
+# reported with the library's message.
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    """A finite JSON number, also as a float; true and false are not numbers."""
-    if _is_int(x):
-        return abs(x) <= sys.float_info.max
-    return isinstance(x, float) and math.isfinite(x)
-
-
-def _check(ok, expected: str):
-    def check(x):
-        if not ok(x):
-            raise ValueError(f"must be {expected}, got {x!r}")
-        return x
-    return check
-
-
-_count = _check(lambda x: _is_int(x) and x >= 1, "an integer >= 1")
-_seed = _check(lambda x: _is_int(x) and x >= 0, "an integer >= 0")
-_number = _check(_is_real, "a finite number")
-_positive = _check(lambda x: _is_real(x) and x > 0, "a finite number > 0")
-_probability = _check(lambda x: _is_real(x) and 0 <= x <= 1, "a finite number in [0, 1]")
+def _range(key: str, value: dict) -> list:
+    """The points of a grid given as {start, stop, step}."""
+    if sorted(value) != ["start", "step", "stop"]:
+        raise ValueError(f"{key} must be a grid {{start, stop, step}}, got {value!r}")
+    start, stop = (check_finite(f"{key} {end}", value[end]) for end in ("start", "stop"))
+    step = check_positive(f"{key} step", value["step"])
+    try:
+        n = int(round((stop - start) / step)) + 1
+    except OverflowError:  # an infinite number of steps
+        n = math.inf
+    if n > 10**6:  # a typo, not a grid: building it would hang the run
+        raise ValueError(f"{key} must be a grid of at most 10**6 points, got {value!r}")
+    return [start + i * step for i in range(n) if start + i * step <= stop + step * 1e-9]
 
 
-def _level(x):
-    """A constant load level, with the range ``DeltaLoads`` enforces."""
-    return DeltaLoads(_number(x)).a0
-
-
-def _as_grid(value) -> list:
-    """Accept a scalar, an explicit list, or {start, stop, step}."""
-    if isinstance(value, dict):
-        if sorted(value) != ["start", "step", "stop"]:
-            raise ValueError(f"grid dict needs exactly start/stop/step, got {value}")
-        start, stop, step = value["start"], value["stop"], value["step"]
-        if not all(_is_real(x) for x in (start, stop, step)):
-            raise ValueError(f"grid start/stop/step must be finite numbers, got {value}")
-        if step <= 0:
-            raise ValueError(f"grid step must be > 0, got {step}")
-        try:
-            n = int(round((stop - start) / step)) + 1
-        except OverflowError:  # an infinite number of steps
-            n = math.inf
-        if n > 10**6:  # a typo, not a grid: building it would hang the run
-            raise ValueError(f"grid {value} has more than 10**6 points")
-        grid = [start + i * step for i in range(n) if start + i * step <= stop + step * 1e-9]
+def _grid(rule):
+    """A grid of points that each pass ``rule``: a number, a nonempty list,
+    or {start, stop, step}."""
+    def check(key: str, value) -> list:
+        grid = _range(key, value) if isinstance(value, dict) else (
+            value if isinstance(value, list) else [value])
         if not grid:
-            raise ValueError(f"empty grid from {value}")
-        return grid
-    if isinstance(value, list):
-        if not value:
-            raise ValueError("grid list must be nonempty")
-        return value
-    return [value]
-
-
-def _grid(check):
-    """A grid (see ``_as_grid``) whose every point passes ``check``."""
-    return lambda value: [check(x) for x in _as_grid(value)]
+            raise ValueError(f"{key} must be a nonempty grid, got {value!r}")
+        return [rule(key, x) for x in grid]
+    return check
 
 
 REQUIRED = object()  # the default of a key that must be given
 
 
 def _apply(keys: dict, cfg: dict, model: type | None = None) -> dict:
-    """The checked values of ``cfg``; ``keys`` maps each key to ``(check,
-    default)``. The fields of ``model`` are number keys that build
-    ``values["model"]``, so its range and cross-field rules apply, once."""
+    """The checked values of ``cfg``; ``keys`` maps each key to ``(rule,
+    default)``. The fields of ``model`` are required keys that build
+    ``values["model"]``, whose constructor checks them, once."""
     fields = [f.name for f in dataclasses.fields(model)] if model else []
-    keys = {**keys, **{name: (_number, REQUIRED) for name in fields}}
+    keys = {**keys, **dict.fromkeys(fields, (None, REQUIRED))}
     unknown = sorted(set(cfg) - set(keys))
     if unknown:
         raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))}")
     values = {}
-    for key, (check, default) in keys.items():
-        if key in cfg:
-            try:
-                values[key] = check(cfg[key])
-            except ValueError as e:
-                raise ConfigError(f"{key}: {e}") from None
-        elif default is REQUIRED:
-            raise ConfigError(f"missing required key '{key}'")
-        else:
-            values[key] = default
-    if model:
-        try:
+    try:
+        for key, (rule, default) in keys.items():
+            if key in cfg:
+                values[key] = rule(key, cfg[key]) if rule else cfg[key]
+            elif default is REQUIRED:
+                raise ConfigError(f"missing required key '{key}'")
+            else:
+                values[key] = default
+        if model:
             values["model"] = model(**{name: values[name] for name in fields})
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     return values
 
 
 def _spec(kinds: dict):
-    """A JSON object ``{"kind": k, ...}`` built as ``kinds[k]`` from its fields."""
-    def check(spec):
+    """A JSON object ``{"kind": k, ...}`` built as ``kinds[k]`` from its
+    fields; an error in them is reported after the key."""
+    def check(key: str, spec):
         kind = spec.get("kind") if isinstance(spec, dict) else None
         if not (isinstance(kind, str) and kind in kinds):
-            raise ValueError(f"must be an object with kind {'/'.join(kinds)}, got {spec!r}")
+            raise ValueError(f"{key} must be an object with kind {'/'.join(kinds)}, got {spec!r}")
         fields = {k: v for k, v in spec.items() if k != "kind"}
-        return _apply({}, fields, kinds[kind])["model"]
+        try:
+            return _apply({}, fields, kinds[kind])["model"]
+        except ValueError as e:
+            raise ValueError(f"{key}: {e}") from None
     return check
 
 
 LOAD = _spec({"uniform": UniformLoads, "delta": DeltaLoads, "bimodal": BimodalLoads})
 MODEL = _spec({"unimodal": DeltaLoads, "bimodal": BimodalLoads})
 TRACE_KEYS = {
-    "d_m": (_grid(_positive), REQUIRED),
-    "max_iter": (_count, 10_000),
-    "tol": (_positive, 1e-12),
+    "d_m": (_grid(check_positive), REQUIRED),
+    "max_iter": (check_count, 10_000),
+    "tol": (check_positive, 1e-12),
 }
-TOL_D = (_positive, 1e-4)
+TOL_D = (check_positive, 1e-4)
 
 
 _FLOAT = "%.17g"  # 17 significant digits: every float64 reads back exactly
@@ -380,24 +359,24 @@ def cmd_sweep_bimodal(v: dict, writer: OutputWriter, workers: int) -> dict:
 # name: (command, schema, model class whose fields are top-level keys)
 COMMANDS = {
     "simulate": (cmd_simulate, {
-        "nodes": (_grid(_count), REQUIRED),
-        "edge_prob": (_grid(_probability), REQUIRED),
-        "d_m": (_grid(_positive), REQUIRED),
+        "nodes": (_grid(check_count), REQUIRED),
+        "edge_prob": (_grid(check_probability), REQUIRED),
+        "d_m": (_grid(check_positive), REQUIRED),
         "load": (LOAD, REQUIRED),
-        "trials": (_count, REQUIRED),
-        "seed": (_seed, REQUIRED),  # or --seed; there is no wall-clock default
+        "trials": (check_count, REQUIRED),
+        "seed": (partial(check_count, low=0), REQUIRED),  # or --seed; no wall-clock default
     }, None),
     "meanfield": (cmd_meanfield, TRACE_KEYS, DeltaLoads),
     "bimodal-meanfield": (cmd_bimodal_meanfield, TRACE_KEYS, BimodalLoads),
     "dcrit": (cmd_dcrit, {"model": (MODEL, REQUIRED), "tol_d": TOL_D}, None),
     "sweep-dcrit": (cmd_sweep_dcrit, {
-        "a0_grid": (_grid(_level), REQUIRED),
+        "a0_grid": (_grid(check_level), REQUIRED),
         "tol_d": TOL_D,
     }, None),
     "sweep-bimodal": (cmd_sweep_bimodal, {
-        "mean": (_number, REQUIRED),
-        "a0_grid": (_grid(_level), REQUIRED),
-        "b0_grid": (_grid(_level), REQUIRED),
+        "mean": (check_finite, REQUIRED),
+        "a0_grid": (_grid(check_level), REQUIRED),
+        "b0_grid": (_grid(check_level), REQUIRED),
         "tol_d": TOL_D,
     }, None),
 }
@@ -461,8 +440,10 @@ def run_command(args: argparse.Namespace) -> dict:
         raise ConfigError("config must be a JSON object")
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    try:
+        check_count("--threads", args.threads)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
     values = validate(args.command, cfg)
     writer = OutputWriter(Path(args.out), args.format)

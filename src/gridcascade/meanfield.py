@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import sys
 from dataclasses import dataclass
-
-from .graph import check_count, is_real
 
 
 class Verdict(str, enum.Enum):
@@ -100,12 +100,59 @@ class BimodalState:
     verdict: Verdict = Verdict.RUNNING
 
 
-def check_level(name: str, x: float) -> None:
-    """Reject a load level ``name`` that is not a number in (0, 1). Here and
-    below a value must be a real number (``is_real``), and a float skips
-    that call: every threshold probe checks d_m and tol."""
+# --- input rules ----------------------------------------------------------
+# Each rule returns its value, or raises ValueError "<name> must be <rule>,
+# got <value>". A number must be a real number (``is_real``); a float skips
+# that call, as every threshold probe checks d_m.
+
+def is_real(x) -> bool:
+    """Whether ``x`` is a real number that a float holds: a numpy one too,
+    but not a bool, nor an integer past the float range."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    return not isinstance(x, int) or abs(x) <= sys.float_info.max  # int vs float: exact
+
+
+def check_count(name: str, x, low: int = 1):
+    """An integer (a numpy one too, but not a bool) of at least ``low``."""
+    integer = type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    if not integer or x < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
+    return x
+
+
+def check_finite(name: str, x):
+    if type(x) is not float and not is_real(x) or not -math.inf < x < math.inf:
+        raise ValueError(f"{name} must be a finite number, got {x!r}")
+    return x
+
+
+def check_positive(name: str, x):
+    if type(x) is not float and not is_real(x) or not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {x!r}")
+    return x
+
+
+def check_level(name: str, x):
     if type(x) is not float and not is_real(x) or not 0.0 < x < 1.0:
         raise ValueError(f"{name} must be a number in (0, 1), got {x!r}")
+    return x
+
+
+def check_probability(name: str, x):
+    if type(x) is not float and not is_real(x) or not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must be a number in [0, 1], got {x!r}")
+    return x
+
+
+def check_budget(max_iter: int, tol: float) -> None:
+    """Check a stage budget: ``max_iter`` by ``check_count`` and ``tol`` by
+    ``check_positive``. Every threshold probe runs this, so an int and a
+    float in range skip the rules' calls."""
+    if type(max_iter) is not int or max_iter < 1:
+        check_count("max_iter", max_iter)
+    if type(tol) is not float or not 0.0 < tol < math.inf:
+        check_positive("tol", tol)
 
 
 def check_modes(a0: float, b0: float, pa: float) -> None:
@@ -114,23 +161,7 @@ def check_modes(a0: float, b0: float, pa: float) -> None:
     check_level("b0", b0)
     if a0 > b0:
         raise ValueError(f"need a0 <= b0, got a0={a0}, b0={b0}")
-    if type(pa) is not float and not is_real(pa) or not 0.0 <= pa <= 1.0:
-        raise ValueError(f"pa must be a number in [0, 1], got {pa!r}")
-
-
-def check_disturbance(d_m: float) -> None:
-    """Reject a disturbance mean that is not a finite number > 0."""
-    if type(d_m) is not float and not is_real(d_m) or not 0.0 < d_m < math.inf:
-        raise ValueError(f"disturbance mean must be a finite number > 0, got {d_m!r}")
-
-
-def check_budget(max_iter: int, tol: float) -> None:
-    """Reject a max_iter that is not an integer >= 1, or a tol that is not a
-    finite number > 0."""
-    if type(max_iter) is not int or max_iter < 1:  # every two-mode probe: skip the call
-        check_count("max_iter", max_iter)
-    if type(tol) is not float and not is_real(tol) or not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    check_probability("pa", pa)
 
 
 def mean_failed_load(D: float, d_m: float) -> float:
@@ -199,7 +230,7 @@ def _survival_proven(a: float, b: float, pa: float, p: float, D: float, d_m: flo
 def _check(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float) -> None:
     """Check a run's inputs: the model, then d_m, then the stage budget."""
     check_modes(a0, b0, pa)
-    check_disturbance(d_m)
+    check_positive("disturbance mean", d_m)
     check_budget(max_iter, tol)
 
 

@@ -15,20 +15,19 @@ conservatively counted as failures.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .cascade import BimodalLoads, DeltaLoads
-from .graph import is_real
 from .meanfield import (
     COMPLETE_OUTAGE,
     SURVIVES,
     Verdict,
     _two_mode,
     check_budget,
-    check_disturbance,
+    check_finite,
     check_level,
     check_modes,
+    check_positive,
 )
 
 # unused, but perfbench/tracing.py wraps them here
@@ -66,18 +65,12 @@ def model_verdict(
     are checked but unused. A ``BimodalLoads`` model runs the two-mode
     recursion's scalar loop alone, which may stop a surviving run early on
     a proven bound."""
-    check_disturbance(d_m)
+    check_positive("disturbance mean", d_m)
     check_budget(max_iter, tol)
     if isinstance(model, DeltaLoads):
         return (SURVIVES if d_m * (1.0 + math.log1p(d_m) - math.log(d_m))
                 <= 1.0 - model.a0 else COMPLETE_OUTAGE)
     return _two_mode(model.a0, model.b0, model.pa, d_m, max_iter, tol, None)
-
-
-def _check_resolution(tol_d: float) -> None:
-    """Reject a bisection resolution that is not a finite number > 0."""
-    if not is_real(tol_d) or not 0.0 < tol_d < math.inf:
-        raise ValueError(f"tol_d must be a finite number > 0, got {tol_d!r}")
 
 
 def _fails(v: Verdict) -> bool:
@@ -107,7 +100,7 @@ def find_d_critical(
         raise TypeError(f"model must be a DeltaLoads or a BimodalLoads, got {model!r}")
     if isinstance(model, BimodalLoads):  # once per search: its probes do not check it
         check_modes(model.a0, model.b0, model.pa)
-    _check_resolution(tol_d)
+    check_positive("tol_d", tol_d)
     check_budget(max_iter, tol)
     probes: dict[float, Verdict] = {}
 
@@ -174,7 +167,7 @@ class UnimodalSweepRow:
 def sweep_dcrit_vs_a0(a0_grid: list[float], tol_d: float = 1e-4) -> list[UnimodalSweepRow]:
     """Critical disturbance for each constant-load level; ``tol_d`` is
     checked before the first search, and each level as its model is built."""
-    _check_resolution(tol_d)
+    check_positive("tol_d", tol_d)
     rows = []
     for a0 in a0_grid:
         res = find_d_critical(DeltaLoads(a0), tol_d=tol_d)
@@ -214,14 +207,12 @@ def sweep_bimodal_fixed_mean(
     finite number, every grid value a number in (0, 1), and ``tol_d`` a
     finite number > 0. A finite mean outside (0, 1) gives infeasible rows.
     """
-    # abs, not math.isfinite, which raises for an int past the float range
-    if not is_real(mean) or not abs(mean) <= sys.float_info.max:
-        raise ValueError(f"mean must be a finite number, got {mean!r}")
+    check_finite("mean", mean)
     for x in a0_grid:
         check_level("a0", x)
     for x in b0_grid:
         check_level("b0", x)
-    _check_resolution(tol_d)
+    check_positive("tol_d", tol_d)
     rows = []
     for a0 in a0_grid:
         for b0 in b0_grid:

@@ -4,6 +4,7 @@ import json
 import math
 import platform
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,13 @@ from hypothesis import strategies as st
 
 from gridcascade import BimodalLoads, DeltaLoads, cascade, find_d_critical, harness
 from gridcascade.harness import main
+from gridcascade.meanfield import (
+    check_count,
+    check_finite,
+    check_level,
+    check_positive,
+    check_probability,
+)
 
 
 def write_config(tmp_path, name, cfg):
@@ -450,7 +458,7 @@ MF_CFG = {"a0": 0.8, "d_m": 0.05}
     ("meanfield", dict(MF_CFG, d_m=True), "d_m"),
     ("meanfield", dict(MF_CFG, d_m=10**400), "d_m"),  # no float holds it
     ("meanfield", dict(MF_CFG, max_iter=True), "max_iter"),
-    ("meanfield", dict(MF_CFG, max_iter=0.5), "max_iter: must be an integer"),
+    ("meanfield", dict(MF_CFG, max_iter=0.5), "max_iter must be an integer"),
     ("bimodal-meanfield", {"a0": 0.9, "b0": 0.5, "pa": 0.25, "d_m": 0.05}, "a0 <= b0"),
     ("sweep-bimodal", {"mean": "0.8", "a0_grid": [0.5, 0.8], "b0_grid": [0.8, 0.9]},
      "mean"),
@@ -478,6 +486,44 @@ def test_bad_config_exits_1_before_any_table(tmp_path, capsys, command, cfg, mes
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# One bad value per number key of COMMANDS (the last point of a grid, or a
+# field of a spec), and the library rule that rejects it; a model's fields
+# are its constructor's.
+BAD_NUMBERS = [
+    ("simulate", "nodes", [10, 0], check_count),
+    ("simulate", "trials", 2.5, check_count),
+    ("simulate", "seed", True, partial(check_count, low=0)),
+    ("simulate", "edge_prob", [0.5, 1.5], check_probability),
+    ("simulate", "d_m", [0.1, math.nan], check_positive),
+    ("simulate", "load.a0", -0.5, check_level),
+    ("meanfield", "max_iter", 0, check_count),
+    ("meanfield", "tol", "1e-9", check_positive),
+    ("meanfield", "a0", 10**400, check_level),
+    ("bimodal-meanfield", "b0", None, check_level),
+    ("bimodal-meanfield", "pa", 1.5, check_probability),
+    ("dcrit", "tol_d", 0, check_positive),
+    ("dcrit", "model.pa", 1.5, check_probability),
+    ("sweep-dcrit", "a0_grid", [0.5, 1.0], check_level),
+    ("sweep-bimodal", "mean", math.inf, check_finite),
+]
+
+
+@pytest.mark.parametrize("command,key,value,rule", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in BAD_NUMBERS])
+def test_a_bad_number_is_reported_with_the_library_message(tmp_path, capsys, command, key,
+                                                           value, rule):
+    """The CLI prints the library rule's message, with the key as its name;
+    inside a spec, after the spec's key."""
+    *spec, name = key.split(".")
+    with pytest.raises(ValueError) as err:
+        rule(name, value[-1] if isinstance(value, list) else value)
+    cfg = json.loads(json.dumps(FUZZ_CFGS[command]))
+    (cfg[spec[0]] if spec else cfg)[name] = value
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {''.join(k + ': ' for k in spec)}{err.value}\n"
 
 
 def test_huge_but_bounded_shocks_still_run(tmp_path):

@@ -145,7 +145,9 @@ def test_nan_disturbance_is_rejected_not_undetermined():
         run_recursion(0.8, math.nan)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# 10**400 holds no float: run_recursion(0.8, 10**400) raised OverflowError
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 pytest.param(10**400, id="10**400")])
 def test_nonfinite_inputs_are_rejected(bad):
     with pytest.raises(ValueError):
         run_recursion(bad, 0.05)
@@ -219,11 +221,13 @@ REAL_ARGS = {
 
 @pytest.mark.parametrize("arg,value", [
     *((arg, value) for arg in REAL_ARGS for value in (True, "0.1", None)),
+    *(pytest.param(arg, 10**400, id=f"{arg}-10**400") for arg in REAL_ARGS),
     ("every", "np.float64 or int"),
 ])
 def test_a_real_argument_must_be_a_real_number(arg, value):
-    """A bool, a string or None raises ValueError wherever a real number
-    enters; a numpy float or an int is a real number."""
+    """A bool, a string, None or an integer that no float holds raises
+    ValueError wherever a real number enters; a numpy float or an int is a
+    real number."""
     if arg in REAL_ARGS:
         with pytest.raises(ValueError, match=f"^{arg if arg != 'd_m' else 'disturbance mean'} "):
             REAL_ARGS[arg](value)

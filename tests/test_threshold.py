@@ -444,6 +444,8 @@ def test_a_search_checks_its_model_at_most_once(monkeypatch, model, checks):
     (0.05, 10_000, "1e-12", "tol"),
     (math.nan, 0, 0.0, "disturbance mean"),  # d_m first
     (0.05, 0, 0.0, "max_iter"),              # then max_iter
+    pytest.param(10**400, 10_000, 1e-12, "disturbance mean",  # used to overflow
+                 id="10**400-10000-1e-12-disturbance mean"),
 ])
 def test_a_probe_checks_d_m_then_the_budget_for_either_model(model, d_m, max_iter, tol,
                                                             message):
