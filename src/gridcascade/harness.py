@@ -22,7 +22,8 @@ byte. The manifest (manifest.json) echoes the config, lists outputs and
 records the environment (worker count, Python and numpy versions); only
 its timestamp varies between identical runs on one machine.
 
-Exit codes: 0 success, 1 config or command-line error, 2 runtime error.
+Exit codes: 0 success, 1 config or command-line error, 2 runtime error
+(running out of memory included).
 """
 
 from __future__ import annotations
@@ -393,9 +394,19 @@ def validate(command: str, cfg: dict) -> dict:
     _, keys, model = COMMANDS[command]
     values = _apply(keys, cfg, model)
     if command == "simulate":
+        n, d_m = max(values["nodes"]), max(values["d_m"])
+        # a trial's largest array is its n float64 loads if every edge_prob
+        # is 1, else the n x n weights; none may pass sys.maxsize bytes, the
+        # most any array can index, whatever this machine's memory
+        if all(p == 1.0 for p in values["edge_prob"]):
+            most, size = sys.maxsize // 8, "8*n bytes of loads"
+        else:
+            most, size = math.isqrt(sys.maxsize // 8), "8*n*n bytes of edge weights"
+        if n > most:
+            raise ConfigError(
+                f"nodes must be at most {most} ({size} within sys.maxsize), got {n}")
         # every initial load is below 1 and every shock below SHOCK_MAX*d_m,
         # so this bound keeps each trial's total load finite
-        n, d_m = max(values["nodes"]), max(values["d_m"])
         if n > sys.float_info.max / (1.0 + SHOCK_MAX * d_m):  # int vs float: exact
             raise ConfigError(
                 f"d_m: {d_m} on {n} nodes can overflow the total load; "

@@ -23,20 +23,20 @@ three branches, in order, one phase each:
     UPPER_DIES    the shift kills the b-mode exactly this stage
     LOWER_ONLY    only the a-mode remains
 
-``run_recursion`` (one mode) and ``bimodal_verdict`` (two) check their
-inputs once (``_check``: the model, then d_m, then the stage budget), then
-iterate these scalars in locals, one loop per phase, from ``_init``'s stage
-1 to the verdict; ``_two_mode`` is the two-mode run after the checks, and
-``_one_mode`` its LOWER_ONLY loop and every later stage of the one-mode
-run. A threshold probe (``threshold.model_verdict``) runs ``_two_mode``
+``bimodal_verdict`` checks its inputs once (the model, then d_m, then the
+stage budget), then runs ``_two_mode``, which iterates these scalars in
+locals, one loop per phase, from ``_init``'s stage 1 to the verdict. That
+is the one entry into the stage loops. Constant loads are the one-atom
+case of the same recursion: ``run_recursion`` is the run with b0 = a0 and
+pa = 1. A threshold probe (``threshold.model_verdict``) runs ``_two_mode``
 after checking d_m and the budget alone: its model was checked when it was
-built, and the search checks it once more. Given a list, a loop appends each
-stage as a plain row ``(n, a_n, p_n, D_n, mu_prev)``, mu_prev being the
-mu that produced D_n; a two-mode row goes on with ``(b_n, branch,
-p_tilde)``, p_tilde being the failing mass of an UPPER_DIES stage (else
-nan). An outage exit that computes no stage appends the last row again,
-one stage on. ``run_recursion`` and ``run_bimodal`` return the rows as a
-trace: one state per row, the row's fields followed by the verdict.
+built, and the search checks it once more. Given a list, a loop appends
+each stage as a plain row ``(n, a_n, p_n, D_n, mu_prev, b_n, branch,
+p_tilde)``, mu_prev being the mu that produced D_n and p_tilde the failing
+mass of an UPPER_DIES stage (else nan). An outage exit that computes no
+stage appends the last row again, one stage on. ``run_bimodal`` returns
+the rows as a trace: one state per row, the row's fields followed by the
+verdict; ``run_recursion`` keeps the first five fields of each row.
 
 Without a list (the threshold search's two-mode probes) a loop may stop
 a surviving run early, with the verdict the remaining stages would reach:
@@ -190,7 +190,7 @@ def _survival_proven(a: float, b: float, pa: float, p: float, D: float, d_m: flo
     probability tol <= p < 1 and pending shift D, must return SURVIVES
     within ``stages`` loop passes, this one included. The floors are a and
     b: a fraction pa of the nodes at a and the rest at b while b < 1, only
-    a once b = 1 (``_one_mode`` passes b = 1).
+    a once b = 1 (phase 3 of ``_two_mode`` passes b = 1).
 
     Every later mean failed load is at most M = 1 + max(D, X)/2, X =
     p/(1-p)*(1+d_m) the largest later shift, as x/expm1(x) >= 1 - x/2; so
@@ -227,22 +227,15 @@ def _survival_proven(a: float, b: float, pa: float, p: float, D: float, d_m: flo
         return False
 
 
-def _check(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: float) -> None:
-    """Check a run's inputs: the model, then d_m, then the stage budget."""
-    check_modes(a0, b0, pa)
-    check_positive("disturbance mean", d_m)
-    check_budget(max_iter, tol)
-
-
 def _init(a0: float, b0: float, pa: float, d_m: float):
     """The first stage of a run from checked inputs: the verdict, the row-1
     scalars ``(1, a0, p1, D1, 1 + d_m)`` and e1 = expm1(D1/d_m). From the
     stage-0 failure probability p0 = pa*q(a0) + (1-pa)*q(b0), q(x) =
     exp(-(1-x)/d_m), D1 = p0/(1-p0) * (1+d_m), the large-N limit of the
     load failed at stage 0 per survivor, and p1 = p0/(1-p0) * e1. expm1
-    overflows for blackout-scale D1, an outage. It checks nothing: the
-    entry points check first (``_check``), and a threshold probe runs on a
-    model that was checked when it was built."""
+    overflows for blackout-scale D1, an outage. It checks nothing:
+    ``bimodal_verdict`` checks first, and a threshold probe runs on a model
+    that was checked when it was built."""
     mu = 1.0 + d_m
     # at pa = 1 the sum is 1.0*q(a0) + 0.0*q(b0) = q(a0) exactly
     p0 = pa * math.exp(-(1.0 - a0) / d_m) + (1.0 - pa) * math.exp(-(1.0 - b0) / d_m)
@@ -266,59 +259,6 @@ def _renumbered_outage(rows: list | None) -> Verdict:
     return COMPLETE_OUTAGE
 
 
-def _one_mode(row: tuple, e: float, cut: float, d_m: float, max_iter: int, tol: float,
-              rows: list | None, tail: tuple) -> Verdict:
-    """The stages of a run with one mode left, from the last stage's
-    ``row`` = (n, a, p, D, mu) and e = expm1(D/d_m) to the verdict; each
-    stage row, then ``tail``, goes to ``rows`` when a list is given. The
-    stage formulas are written inline (the loop runs in the threshold
-    search's two-mode probes), one expm1 per stage: p = q/(1-q) * e, q =
-    exp(-(1-a)/d_m) the failing mass of the shifted floor, and the next
-    stage's mu = 1 + d_m - D/e is ``mean_failed_load`` without its guards
-    (p >= tol > 0 makes e > 0, and an infinite e gives D/e = 0), except
-    after UPPER_DIES, which computes no e (it passes e = 0).
-
-    The loop takes mu0 = 1 + d_m once and writes q as exp((a - 1)/d_m);
-    both are the stage formulas bit for bit. Python evaluates 1 + d_m - D/e
-    as (1 + d_m) - D/e, and round-to-nearest is symmetric in sign, so a - 1
-    is -(1 - a) exactly, except at a = 1: there they are +0 and -0, and exp
-    gives 1 for both.
-
-    Without ``rows`` a pass whose p has fallen below ``cut`` (1e-3 at the
-    start of a run, then a sixteenth of the last p tested) asks
-    ``_survival_proven`` whether the rest of the run must survive within
-    ``max_iter``, and returns SURVIVES at once when it must. With ``rows``
-    every stage runs."""
-    n, a, p, D, mu = row
-    exp, expm1 = math.exp, math.expm1
-    mu0 = 1.0 + d_m
-    for _ in range(max_iter - n + 1):
-        if p < cut:
-            if p < tol or _survival_proven(a, 1.0, 1.0, p, D, d_m, tol, max_iter - n + 1):
-                return SURVIVES
-            cut = max(p / 16.0, tol)
-        if not D < 1.0 - a:  # a < 1 here: every stage exits on a >= 1
-            return _renumbered_outage(rows)
-        a += D
-        n += 1
-        try:
-            try:
-                mu = mu0 - D / e
-            except ZeroDivisionError:  # e = 0: UPPER_DIES computed none
-                mu = mean_failed_load(D, d_m)
-            D = p / (1.0 - p) * mu
-            q = exp((a - 1.0) / d_m)
-            e = expm1(D / d_m)
-            p = q / (1.0 - q) * e
-        except (OverflowError, ZeroDivisionError):  # q rounds to 1.0 as a does
-            return _renumbered_outage(rows)
-        if rows is not None:
-            rows.append((n, a, p, D, mu, *tail))
-        if not p < 1.0 or a >= 1.0:  # p >= 0, as e >= 0 and q <= 1 (a <= 1)
-            return COMPLETE_OUTAGE
-    return UNDETERMINED
-
-
 def run_recursion(
     a0: float,
     d_m: float,
@@ -329,20 +269,22 @@ def run_recursion(
 
     Survives when p_n drops below ``tol``; Undetermined when ``max_iter``
     stages pass without resolution (slow dynamics near the threshold).
+    Constant loads are two equal modes: the run is ``bimodal_verdict`` at
+    b0 = a0, pa = 1, and each state the first five fields of its row.
     """
-    _check(a0, a0, 1.0, d_m, max_iter, tol)
-    verdict, row, e = _init(a0, a0, 1.0, d_m)
-    rows = [row]
-    if verdict is RUNNING:
-        verdict = _one_mode(row, e, tol, d_m, max_iter, tol, rows, ())
-    return verdict, trace(MeanFieldState, verdict, rows)
+    rows: list = []
+    verdict = bimodal_verdict(a0, a0, 1.0, d_m, max_iter, tol, rows)
+    return verdict, trace(MeanFieldState, verdict, [row[:5] for row in rows])
 
 
 def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int = 10_000,
                     tol: float = 1e-12, rows: list | None = None) -> Verdict:
     """The verdict of ``run_bimodal``; each stage row goes to ``rows`` when
-    a list is given. Checks the inputs, then runs ``_two_mode``."""
-    _check(a0, b0, pa, d_m, max_iter, tol)
+    a list is given. Checks the model, then d_m, then the stage budget,
+    and runs ``_two_mode``."""
+    check_modes(a0, b0, pa)
+    check_positive("disturbance mean", d_m)
+    check_budget(max_iter, tol)
     return _two_mode(a0, b0, pa, d_m, max_iter, tol, rows)
 
 
@@ -352,17 +294,35 @@ def _two_mode(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: f
     branches in order, one phase each, on one budget of ``max_iter``
     passes:
 
-    1. BOTH_ALIVE while the shift leaves the upper floor below capacity:
-       the unimodal stage formulas and carried e = expm1(D/d_m), written
-       inline as in ``_one_mode``, on the mixed failing mass
-       q = pa*q(a) + (1-pa)*q(b) of the shifted floors;
+    1. BOTH_ALIVE while the shift leaves the upper floor below capacity;
     2. one UPPER_DIES stage once the shift reaches it (an outage if pa = 0),
        or none if b + D rounded to 1 in phase 1;
-    3. LOWER_ONLY: ``_one_mode`` on the lower floor.
+    3. LOWER_ONLY: the phase-1 loop on the lower floor alone.
 
-    Phase 1 takes mu0 = 1 + d_m once and writes q as ``_one_mode`` does.
-    Without ``rows`` a small p is tested for proven survival in every
-    phase, as in ``_one_mode``."""
+    A run with equal modes (b0 = a0) ends in phase 1: its floors reach
+    capacity together. Phases 1 and 3 write the stage formulas inline (the
+    loops run in the threshold search's two-mode probes), one expm1 per
+    stage: p = q/(1-q) * e, e = expm1(D/d_m) carried from the last stage
+    and q the failing mass of the shifted floors, pa*q(a) + (1-pa)*q(b) in
+    phase 1 and q(a) in phase 3, q(x) = exp(-(1-x)/d_m). The next stage's
+    mu = 1 + d_m - D/e is ``mean_failed_load`` without its guards (p >= tol
+    > 0 makes e > 0, and an infinite e gives D/e = 0), except after
+    UPPER_DIES, which computes no e: it hands phase 3 e = 0, and the
+    division by zero falls back to ``mean_failed_load``.
+
+    The loops take mu0 = 1 + d_m once and write q(x) as exp((x - 1)/d_m);
+    both are the stage formulas bit for bit. Python evaluates 1 + d_m - D/e
+    as (1 + d_m) - D/e, and round-to-nearest is symmetric in sign, so x - 1
+    is -(1 - x) exactly, except at x = 1: there they are +0 and -0, and exp
+    gives 1 for both. At pa = 1 the mixture is 1.0*q(a) + 0.0*q(b) = q(a)
+    exactly, so a one-mode run (``run_recursion``) computes the one-mode
+    stage formulas bit for bit.
+
+    Without ``rows`` a pass whose p has fallen below ``cut`` (1e-3 at the
+    start of a run, then a sixteenth of the last p tested) asks
+    ``_survival_proven`` whether the rest of the run must survive within
+    ``max_iter``, and returns SURVIVES at once when it must, in any phase.
+    With ``rows`` every stage runs."""
     verdict, row, e = _init(a0, b0, pa, d_m)
     if rows is not None:
         rows.append(row + (b0, INIT, math.nan))
@@ -426,7 +386,32 @@ def _two_mode(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: f
             rows.append((n, a, p, D, mu, 1.0, UPPER_DIES, p_tilde))
         if not 0.0 <= p < 1.0 or a >= 1.0:
             return COMPLETE_OUTAGE
-    return _one_mode((n, a, p, D, mu), e, cut, d_m, max_iter, tol, rows, (1.0, LOWER_ONLY, nan))
+    # LOWER_ONLY: the upper mode is dead, b = 1
+    for _ in range(max_iter - n + 1):
+        if p < cut:
+            if p < tol or _survival_proven(a, 1.0, 1.0, p, D, d_m, tol, max_iter - n + 1):
+                return SURVIVES
+            cut = max(p / 16.0, tol)
+        if not D < 1.0 - a:  # a < 1 here: every stage exits on a >= 1
+            return _renumbered_outage(rows)
+        a += D
+        n += 1
+        try:
+            try:
+                mu = mu0 - D / e
+            except ZeroDivisionError:  # e = 0: UPPER_DIES computed none
+                mu = mean_failed_load(D, d_m)
+            D = p / (1.0 - p) * mu
+            q = exp((a - 1.0) / d_m)
+            e = expm1(D / d_m)
+            p = q / (1.0 - q) * e
+        except (OverflowError, ZeroDivisionError):  # q rounds to 1.0 as a does
+            return _renumbered_outage(rows)
+        if rows is not None:
+            rows.append((n, a, p, D, mu, 1.0, LOWER_ONLY, nan))
+        if not p < 1.0 or a >= 1.0:  # p >= 0, as e >= 0 and q <= 1 (a <= 1)
+            return COMPLETE_OUTAGE
+    return UNDETERMINED
 
 
 def run_bimodal(

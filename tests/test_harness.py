@@ -2,8 +2,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import platform
 import re
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -534,6 +537,21 @@ def test_huge_but_bounded_shocks_still_run(tmp_path):
     assert [row[5] for row in rows] == ["0", "0"]  # every node fails at stage 0
 
 
+def test_a_node_count_no_array_can_hold_exits_1(tmp_path):
+    """The command as a user runs it: 10**30 nodes cannot be an array's
+    dimension, so the config is bad (exit 1), not the run (exit 2)."""
+    path = write_config(tmp_path, "cfg.json", dict(SIM_CFG, nodes=[10**30], trials=1))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridcascade.harness", "simulate", "--config", path,
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1])),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: nodes must be at most "), proc.stderr
+    assert not out.exists()
+
+
 def _untemper(y: int) -> int:
     """The MT19937 state word whose tempered output is ``y``."""
     y ^= y >> 18
@@ -765,3 +783,32 @@ def test_extreme_numbers_never_exit_2(tmp_path, cheap_library, command):
             assert code in (0, 1), cfg
             runs += 1
     assert runs > 0
+
+
+# node counts around numpy's array limits, which cheap_library shrinks away
+NODE_COUNTS = st.one_of(
+    st.integers(min_value=1, max_value=2**70),
+    st.integers(min_value=2**30 - 2, max_value=2**30 + 1),
+    st.integers(min_value=2**60 - 2, max_value=2**60 + 1),
+    st.sampled_from([10**12, 2**63, 10**30]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes=st.lists(NODE_COUNTS, min_size=1, max_size=3),
+       edge_prob=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1]), min_size=1, max_size=3))
+def test_validate_accepts_a_node_count_exactly_where_numpy_can_shape_its_arrays(
+        nodes, edge_prob):
+    """Through ``validate`` only: an accepted count may need more memory
+    than any machine has. A trial's largest array is the n x n weights, or
+    the n loads when every edge_prob is 1; numpy's own limit decides."""
+    cfg = dict(FUZZ_CFGS["simulate"], nodes=nodes, edge_prob=edge_prob)
+    n = max(nodes)
+    shape = (n,) if all(p == 1 for p in edge_prob) else (n, n)
+    try:
+        np.broadcast_to(np.float64(0.0), shape)  # a view: nothing is allocated
+    except ValueError:
+        with pytest.raises(harness.ConfigError, match=r"^nodes must be at most \d+ \("):
+            harness.validate("simulate", cfg)
+    else:
+        assert harness.validate("simulate", cfg)["nodes"] == nodes

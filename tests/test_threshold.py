@@ -187,6 +187,29 @@ def test_two_mode_oracle_brackets_large_complete_graph_cascades(seed, scale, fra
     assert [o.survivor_fraction for o in stats.outcomes] == [fraction] * 3
 
 
+# the simulator referees the search: 20,000-node complete-graph trials
+# survive in full 10% below each model's d_critical and fail completely 10%
+# above it; the recursion's search puts (0.4, 0.9, 0.8) at 0.0483 and
+# (0.78, 0.98, 0.9) at 0.0068, where the exact thresholds are 0.1037 and
+# 0.0226, so 10% above its result those trials survive
+SEARCH_BELOW_THE_PROCESS = pytest.mark.xfail(
+    strict=True, reason="two-mode recursion off the exact threshold (ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("model", [
+    DeltaLoads(0.8),
+    BimodalLoads(0.5, 0.9, 0.25),
+    pytest.param(BimodalLoads(0.4, 0.9, 0.8), marks=SEARCH_BELOW_THE_PROCESS),
+    pytest.param(BimodalLoads(0.78, 0.98, 0.9), marks=SEARCH_BELOW_THE_PROCESS),
+], ids=repr)
+def test_complete_graph_cascades_bracket_the_searched_threshold(model):
+    d_c = find_d_critical(model).d_critical
+    below, above = (monte_carlo(20_000, 1.0, model, scale * d_c, 100, 11).outcomes
+                    for scale in (0.9, 1.1))
+    assert sum(o.survivor_fraction == 1.0 for o in below) >= 95
+    assert sum(o.survivor_fraction == 0.0 for o in above) >= 95
+
+
 def test_bimodal_threshold_matches_reported_range():
     res = find_d_critical(BimodalLoads(0.5, 0.9, 0.25))
     assert 0.015 <= res.d_critical <= 0.025
