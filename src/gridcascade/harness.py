@@ -48,6 +48,8 @@ from .cascade import (
     monte_carlo,
 )
 from .meanfield import (
+    MAX_ITER,
+    TOL,
     check_count,
     check_finite,
     check_level,
@@ -148,8 +150,8 @@ LOAD = _spec({"uniform": UniformLoads, "delta": DeltaLoads, "bimodal": BimodalLo
 MODEL = _spec({"unimodal": DeltaLoads, "bimodal": BimodalLoads})
 TRACE_KEYS = {
     "d_m": (_grid(check_positive), REQUIRED),
-    "max_iter": (check_count, 10_000),
-    "tol": (check_positive, 1e-12),
+    "max_iter": (check_count, MAX_ITER),
+    "tol": (check_positive, TOL),
 }
 TOL_D = (check_positive, 1e-4)
 

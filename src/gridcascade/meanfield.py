@@ -29,8 +29,9 @@ locals, one loop per phase, from ``_init``'s stage 1 to the verdict. That
 is the one entry into the stage loops. Constant loads are the one-atom
 case of the same recursion: ``run_recursion`` is the run with b0 = a0 and
 pa = 1. A threshold probe (``threshold.model_verdict``) runs ``_two_mode``
-after checking d_m and the budget alone: its model was checked when it was
-built, and the search checks it once more. Given a list, a loop appends
+on the default budget (``MAX_ITER``, ``TOL``) after checking d_m alone:
+its model was checked when it was built, and the search checks it once
+more. Given a list, a loop appends
 each stage as a plain row ``(n, a_n, p_n, D_n, mu_prev, b_n, branch,
 p_tilde)``, mu_prev being the mu that produced D_n and p_tilde the failing
 mass of an UPPER_DIES stage (else nan). An outage exit that computes no
@@ -100,6 +101,10 @@ class BimodalState:
     verdict: Verdict = Verdict.RUNNING
 
 
+# a trace's default stage budget, and a threshold probe's only one
+MAX_ITER, TOL = 10_000, 1e-12
+
+
 # --- input rules ----------------------------------------------------------
 # Each rule returns its value, or raises ValueError "<name> must be <rule>,
 # got <value>". A number must be a real number (``is_real``); a float skips
@@ -107,10 +112,17 @@ class BimodalState:
 
 def is_real(x) -> bool:
     """Whether ``x`` is a real number that a float holds: a numpy one too,
-    but not a bool, nor an integer past the float range."""
+    but not a bool, nor a number past the float range. An integer or a
+    Fraction is compared with the largest float exactly; another numpy
+    float converts to a float (inf past the range), as a float32 cannot
+    hold the largest float to compare with."""
+    if isinstance(x, float):
+        return True
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return False
-    return not isinstance(x, int) or abs(x) <= sys.float_info.max  # int vs float: exact
+    if isinstance(x, numbers.Rational):
+        return -sys.float_info.max <= x <= sys.float_info.max
+    return math.isfinite(float(x))
 
 
 def check_count(name: str, x, low: int = 1):
@@ -143,16 +155,6 @@ def check_probability(name: str, x):
     if type(x) is not float and not is_real(x) or not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must be a number in [0, 1], got {x!r}")
     return x
-
-
-def check_budget(max_iter: int, tol: float) -> None:
-    """Check a stage budget: ``max_iter`` by ``check_count`` and ``tol`` by
-    ``check_positive``. Every threshold probe runs this, so an int and a
-    float in range skip the rules' calls."""
-    if type(max_iter) is not int or max_iter < 1:
-        check_count("max_iter", max_iter)
-    if type(tol) is not float or not 0.0 < tol < math.inf:
-        check_positive("tol", tol)
 
 
 def check_modes(a0: float, b0: float, pa: float) -> None:
@@ -262,8 +264,8 @@ def _renumbered_outage(rows: list | None) -> Verdict:
 def run_recursion(
     a0: float,
     d_m: float,
-    max_iter: int = 10_000,
-    tol: float = 1e-12,
+    max_iter: int = MAX_ITER,
+    tol: float = TOL,
 ) -> tuple[Verdict, list[MeanFieldState]]:
     """Iterate to a verdict; the trace is a pure function of the inputs.
 
@@ -277,14 +279,15 @@ def run_recursion(
     return verdict, trace(MeanFieldState, verdict, [row[:5] for row in rows])
 
 
-def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int = 10_000,
-                    tol: float = 1e-12, rows: list | None = None) -> Verdict:
+def bimodal_verdict(a0: float, b0: float, pa: float, d_m: float, max_iter: int = MAX_ITER,
+                    tol: float = TOL, rows: list | None = None) -> Verdict:
     """The verdict of ``run_bimodal``; each stage row goes to ``rows`` when
     a list is given. Checks the model, then d_m, then the stage budget,
     and runs ``_two_mode``."""
     check_modes(a0, b0, pa)
     check_positive("disturbance mean", d_m)
-    check_budget(max_iter, tol)
+    check_count("max_iter", max_iter)
+    check_positive("tol", tol)
     return _two_mode(a0, b0, pa, d_m, max_iter, tol, rows)
 
 
@@ -419,8 +422,8 @@ def run_bimodal(
     b0: float,
     pa: float,
     d_m: float,
-    max_iter: int = 10_000,
-    tol: float = 1e-12,
+    max_iter: int = MAX_ITER,
+    tol: float = TOL,
 ) -> tuple[Verdict, list[BimodalState]]:
     """Iterate the two-mode recursion to a verdict, as in the unimodal case."""
     rows: list = []

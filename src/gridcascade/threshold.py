@@ -7,9 +7,10 @@ by geometric scan and closes in by bisection. A one-mode verdict is exact
 stopping early only on proven survival. Its verdict flips more than once
 for some splits (README, model conventions), and there the search
 returns one of the flips.
-``coarse_scan`` checks the assumption on an explicit grid. Undetermined
-two-mode verdicts (max_iter exhausted near the boundary) are
-conservatively counted as failures.
+``coarse_scan`` checks the assumption on an explicit grid. A search sets
+no stage budget: a two-mode probe runs the traces' default of 10,000
+stages, and a verdict it leaves Undetermined (near the boundary, where the
+recursion is slowest) is conservatively counted as a failure.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from dataclasses import dataclass
 from .cascade import BimodalLoads, DeltaLoads
 from .meanfield import (
     COMPLETE_OUTAGE,
+    MAX_ITER,
     SURVIVES,
+    TOL,
     Verdict,
     _two_mode,
-    check_budget,
     check_finite,
     check_level,
     check_modes,
@@ -50,27 +52,23 @@ class ThresholdResult:
     evaluations: int = 0  # distinct disturbance levels evaluated
 
 
-def model_verdict(
-    model: MeanFieldModel, d_m: float, max_iter: int = 10_000, tol: float = 1e-12
-) -> Verdict:
-    """Mean-field verdict for one disturbance level. It checks ``d_m``,
-    then ``max_iter`` and ``tol``, for either model, but not the model:
-    that was checked when it was built.
+def model_verdict(model: MeanFieldModel, d_m: float) -> Verdict:
+    """Mean-field verdict for one disturbance level. It checks ``d_m`` for
+    either model, but not the model: that was checked when it was built.
 
     A ``DeltaLoads`` model runs no stage: every alive node carries a0 plus
     one shared shift, and the cascade stops short of capacity exactly when
     d_m*(1 + ln(1 + 1/d_m)) <= 1 - a0, whose left side increases in d_m.
     The log is log1p(d_m) - log(d_m), as 1/d_m overflows at a subnormal
-    d_m. The verdict is never Undetermined, and ``max_iter`` and ``tol``
-    are checked but unused. A ``BimodalLoads`` model runs the two-mode
-    recursion's scalar loop alone, which may stop a surviving run early on
-    a proven bound."""
+    d_m. The verdict is never Undetermined. A ``BimodalLoads`` model runs
+    the two-mode recursion's scalar loop alone, on the traces' default
+    stage budget (``MAX_ITER`` stages, ``TOL``), and may stop a surviving
+    run early on a proven bound."""
     check_positive("disturbance mean", d_m)
-    check_budget(max_iter, tol)
     if isinstance(model, DeltaLoads):
         return (SURVIVES if d_m * (1.0 + math.log1p(d_m) - math.log(d_m))
                 <= 1.0 - model.a0 else COMPLETE_OUTAGE)
-    return _two_mode(model.a0, model.b0, model.pa, d_m, max_iter, tol, None)
+    return _two_mode(model.a0, model.b0, model.pa, d_m, MAX_ITER, TOL, None)
 
 
 def _fails(v: Verdict) -> bool:
@@ -78,36 +76,29 @@ def _fails(v: Verdict) -> bool:
     return v is not SURVIVES
 
 
-def find_d_critical(
-    model: MeanFieldModel,
-    tol_d: float = 1e-4,
-    max_iter: int = 10_000,
-    tol: float = 1e-12,
-) -> ThresholdResult:
+def find_d_critical(model: MeanFieldModel, tol_d: float = 1e-4) -> ThresholdResult:
     """Bisect the survive/fail boundary in the disturbance mean.
 
     Each disturbance level is evaluated at most once per search and its
-    verdict recorded; the verdict is a pure function of
-    ``(model, d, max_iter, tol)``, so a re-run could only repeat it. Only
-    a surviving probe ever becomes d_low and only a failing one d_high, so
-    the bracket needs no final check. Bisection stops at ``tol_d`` or at
-    two adjacent floats, whichever comes first. ``undetermined_in_bracket``
-    reports whether any (two-mode) probe came back Undetermined, and
-    ``evaluations`` counts the levels evaluated. A two-mode model, then
-    ``tol_d``, ``max_iter`` and ``tol`` are checked before the first probe.
-    """
+    verdict recorded; the verdict is a pure function of ``(model, d)``, so
+    a re-run could only repeat it. Only a surviving probe ever becomes
+    d_low and only a failing one d_high, so the bracket needs no final
+    check. Bisection stops at ``tol_d`` or at two adjacent floats,
+    whichever comes first. ``undetermined_in_bracket`` reports whether any
+    (two-mode) probe came back Undetermined, and ``evaluations`` counts
+    the levels evaluated. A two-mode model, then ``tol_d``, are checked
+    before the first probe."""
     if not isinstance(model, MeanFieldModel):
         raise TypeError(f"model must be a DeltaLoads or a BimodalLoads, got {model!r}")
     if isinstance(model, BimodalLoads):  # once per search: its probes do not check it
         check_modes(model.a0, model.b0, model.pa)
     check_positive("tol_d", tol_d)
-    check_budget(max_iter, tol)
     probes: dict[float, Verdict] = {}
 
     def fails(d: float) -> bool:
         verdict = probes.get(d)
         if verdict is None:
-            verdict = probes[d] = model_verdict(model, d, max_iter=max_iter, tol=tol)
+            verdict = probes[d] = model_verdict(model, d)
         return _fails(verdict)
 
     def result(d_critical: float, lo: float, hi: float) -> ThresholdResult:
@@ -139,14 +130,9 @@ def find_d_critical(
     return result(0.5 * (lo + hi), lo, hi)
 
 
-def coarse_scan(
-    model: MeanFieldModel,
-    d_values: list[float],
-    max_iter: int = 10_000,
-    tol: float = 1e-12,
-) -> list[tuple[float, Verdict]]:
+def coarse_scan(model: MeanFieldModel, d_values: list[float]) -> list[tuple[float, Verdict]]:
     """Linear verdict scan; raises NonMonotoneError on more than one flip."""
-    out = [(d, model_verdict(model, d, max_iter=max_iter, tol=tol)) for d in d_values]
+    out = [(d, model_verdict(model, d)) for d in d_values]
     flips = sum(
         1 for (_, v1), (_, v2) in zip(out, out[1:]) if _fails(v1) != _fails(v2)
     )
@@ -165,8 +151,11 @@ class UnimodalSweepRow:
 
 
 def sweep_dcrit_vs_a0(a0_grid: list[float], tol_d: float = 1e-4) -> list[UnimodalSweepRow]:
-    """Critical disturbance for each constant-load level; ``tol_d`` is
-    checked before the first search, and each level as its model is built."""
+    """Critical disturbance for each constant-load level. The inputs are
+    checked before the first search: every level must be a number in
+    (0, 1), and ``tol_d`` a finite number > 0."""
+    for a0 in a0_grid:
+        check_level("a0", a0)
     check_positive("tol_d", tol_d)
     rows = []
     for a0 in a0_grid:

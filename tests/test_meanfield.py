@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,17 +125,18 @@ def test_max_iter_exhaustion_is_undetermined():
     assert run_recursion(0.8, 0.03, max_iter=np.int64(2), tol=1e-300) == (verdict, trace)
     assert (repr(run_bimodal(0.5, 0.9, 0.25, 0.022, max_iter=np.int64(3)))
             == repr(run_bimodal(0.5, 0.9, 0.25, 0.022, max_iter=3)))
-    assert (find_d_critical(DeltaLoads(0.8), max_iter=np.int64(50))
-            == find_d_critical(DeltaLoads(0.8), max_iter=50))
+    assert (bimodal_verdict(0.5, 0.9, 0.25, 0.022, max_iter=np.int64(3))
+            is bimodal_verdict(0.5, 0.9, 0.25, 0.022, max_iter=3) is Verdict.UNDETERMINED)
 
 
 @pytest.mark.parametrize("max_iter", [0, 1.5, True, np.int64(0)])
 def test_zero_stage_budget_is_rejected(max_iter):
     # 1.5 used to fail in range() with a TypeError naming neither max_iter
-    # nor the function, and True to run one stage
+    # nor the function, and True to run one stage; the search sets no budget,
+    # so the verdict-only loop of its two-mode probes is checked here
     for run in (lambda: run_recursion(0.8, 0.03, max_iter=max_iter),
                 lambda: run_bimodal(0.5, 0.9, 0.25, 0.03, max_iter=max_iter),
-                lambda: find_d_critical(DeltaLoads(0.8), max_iter=max_iter)):
+                lambda: bimodal_verdict(0.5, 0.9, 0.25, 0.03, max_iter=max_iter)):
         with pytest.raises(ValueError, match="max_iter"):
             run()
 
@@ -214,30 +216,39 @@ REAL_ARGS = {
     "b0": lambda x: BimodalLoads(0.5, x, 0.25),
     "pa": lambda x: BimodalLoads(0.5, 0.9, x),
     "d_m": lambda x: monte_carlo(5, 0.5, UniformLoads(), x, 2, 0),
-    "tol": lambda x: find_d_critical(BimodalLoads(0.5, 0.9, 0.25), tol=x),
+    "tol": lambda x: run_bimodal(0.5, 0.9, 0.25, 0.03, tol=x),
     "tol_d": lambda x: find_d_critical(DeltaLoads(0.8), tol_d=x),
 }
 
 
+# numbers past the float range, each of which a float(x) would refuse or
+# round to inf: run_bimodal's tol once ran one stage at the long double,
+# and monte_carlo's d_m raised OverflowError at the Fraction
+PAST_FLOAT_RANGE = (10**400, np.longdouble("1e400"), Fraction(10**400))
+
+
 @pytest.mark.parametrize("arg,value", [
     *((arg, value) for arg in REAL_ARGS for value in (True, "0.1", None)),
-    *(pytest.param(arg, 10**400, id=f"{arg}-10**400") for arg in REAL_ARGS),
+    *(pytest.param(arg, PAST_FLOAT_RANGE, id=f"{arg}-10**400") for arg in REAL_ARGS),
     ("every", "np.float64 or int"),
 ])
 def test_a_real_argument_must_be_a_real_number(arg, value):
-    """A bool, a string, None or an integer that no float holds raises
-    ValueError wherever a real number enters; a numpy float or an int is a
-    real number."""
+    """A bool, a string, None or a number that no float holds (an integer, a
+    long double or a Fraction) raises ValueError wherever a real number
+    enters; a numpy float or an int is a real number."""
     if arg in REAL_ARGS:
-        with pytest.raises(ValueError, match=f"^{arg if arg != 'd_m' else 'disturbance mean'} "):
-            REAL_ARGS[arg](value)
+        for x in value if value is PAST_FLOAT_RANGE else (value,):
+            name = arg if arg != "d_m" else "disturbance mean"
+            with pytest.raises(ValueError, match=f"^{name} "):
+                REAL_ARGS[arg](x)
         return
     f = np.float64
     assert BimodalLoads(f(0.5), f(0.9), 1) == BimodalLoads(0.5, 0.9, 1.0)
     assert REAL_ARGS["d_m"](1) == REAL_ARGS["d_m"](f(1.0)) == REAL_ARGS["d_m"](1.0)
     assert REAL_ARGS["tol"](f(1e-12)) == REAL_ARGS["tol"](1e-12)
     assert REAL_ARGS["tol_d"](1) == REAL_ARGS["tol_d"](f(1.0)) == REAL_ARGS["tol_d"](1.0)
-    assert find_d_critical(BimodalLoads(f(0.5), 0.9, f(0.25))) == REAL_ARGS["tol"](1e-12)
+    assert (find_d_critical(BimodalLoads(f(0.5), 0.9, f(0.25)))
+            == find_d_critical(BimodalLoads(0.5, 0.9, 0.25)))
 
 
 # a surviving, a failing, an outage-at-stage-0 (p0 rounds to 1) and an

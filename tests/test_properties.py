@@ -41,9 +41,9 @@ def one_mode_verdict(a0, d_m, max_iter=10_000, tol=1e-12, rows=None):
     """The one-mode counterpart of ``bimodal_verdict``: given a row list,
     ``run_recursion``'s verdict, its states' rows appended to ``rows``;
     without one, the threshold search's probe, ``model_verdict``'s closed
-    form."""
+    form, which takes no stage budget."""
     if rows is None:
-        return model_verdict(DeltaLoads(a0), d_m, max_iter, tol)
+        return model_verdict(DeltaLoads(a0), d_m)
     verdict, trace = run_recursion(a0, d_m, max_iter, tol)
     rows.extend(dataclasses.astuple(s)[:-1] for s in trace)
     return verdict
@@ -180,8 +180,10 @@ def test_complete_graph_shift_path_matches_general_path(n, spec, d_m, seed):
     tol=st.sampled_from([1e-12, 1e-6]),
 )
 def test_model_verdict_matches_the_traced_run(a0, gap, pa, d_m, max_iter, tol):
-    """A two-mode probe is the traced run's loop without a row list (the
-    one-mode probe's closed form is tested in test_threshold.py)."""
+    """A two-mode probe is the traced run's loop without a row list, at
+    any budget, and the search's probe is that loop at the traces' default
+    budget (the one-mode probe's closed form is tested in
+    test_threshold.py)."""
     b0 = min(a0 + gap, 0.99)
     model = BimodalLoads(a0, b0, pa)
     verdict, trace = run_bimodal(a0, b0, pa, d_m, max_iter=max_iter, tol=tol)
@@ -191,7 +193,8 @@ def test_model_verdict_matches_the_traced_run(a0, gap, pa, d_m, max_iter, tol):
     assert all(s.verdict is Verdict.RUNNING for s in trace[:-1])
     # a state is its row, then the verdict; repr compares the nan p_tilde
     assert repr([dataclasses.astuple(s)[:-1] for s in trace]) == repr(rows)
-    assert model_verdict(model, d_m, max_iter=max_iter, tol=tol) is verdict
+    assert bimodal_verdict(a0, b0, pa, d_m, max_iter=max_iter, tol=tol) is verdict
+    assert model_verdict(model, d_m) is bimodal_verdict(a0, b0, pa, d_m, rows=[])
 
 
 @settings(max_examples=200, deadline=None)
@@ -279,8 +282,10 @@ def test_each_loop_exit_gives_its_verdict_and_trace(args, max_iter, verdict, mar
     rows = []
     assert traced is loop(*args, max_iter=max_iter, rows=rows) is verdict
     # a two-mode probe runs the same loop without a row list; a one-mode
-    # probe, the closed form, is never Undetermined
-    assert _agrees(model_verdict(model, args[-1], max_iter), verdict, unimodal)
+    # probe, the closed form, is never Undetermined; the search's probe ends
+    # as the traced run at the default budget does
+    assert _agrees(loop(*args, max_iter=max_iter), verdict, unimodal)
+    assert _agrees(model_verdict(model, args[-1]), loop(*args, rows=[]), unimodal)
     assert repr([dataclasses.astuple(s)[:-1] for s in trace]) == repr(rows)
     assert mark(rows)
 

@@ -65,13 +65,13 @@ def test_unimodal_threshold_matches_the_closed_form(a0):
     tol=st.sampled_from([1e-12, 1e-6]),
 )
 def test_one_mode_verdict_is_the_traced_run_where_that_resolves(a0, d_m, near, max_iter, tol):
-    """A one-mode probe is decided in closed form, never Undetermined, and
-    agrees with every traced run that reaches a verdict within its budget,
-    except a survival at tol 1e-6 (the xfail below): there only a traced
-    outage is compared."""
+    """A one-mode probe is decided in closed form, takes no stage budget,
+    is never Undetermined, and agrees with every traced run that reaches a
+    verdict within the budget it was given, except a survival at tol 1e-6
+    (the xfail below): there only a traced outage is compared."""
     if near is not None:
         d_m = _closed_form_d_critical(a0) * (1.0 + near)
-    verdict = model_verdict(DeltaLoads(a0), d_m, max_iter=max_iter, tol=tol)
+    verdict = model_verdict(DeltaLoads(a0), d_m)
     assert verdict in (Verdict.SURVIVES, Verdict.COMPLETE_OUTAGE)
     traced, _ = run_recursion(a0, d_m, max_iter=max_iter, tol=tol)
     if tol == 1e-12 or traced is Verdict.COMPLETE_OUTAGE:
@@ -111,6 +111,13 @@ def test_one_mode_coarse_scan_flips_once(a0, width):
     grid = [d_c * (1.0 + width * k / 100) for k in range(-100, 101) if k]
     fails = [v is not Verdict.SURVIVES for _, v in coarse_scan(DeltaLoads(a0), grid)]
     assert fails == [False] * 100 + [True] * 100
+
+
+def _modes(model):
+    """``(a0, b0, pa)`` of either model: a one-mode one as two equal modes."""
+    if isinstance(model, DeltaLoads):
+        return model.a0, model.a0, 1.0
+    return model.a0, model.b0, model.pa
 
 
 def _two_mode_survives(a0, b0, pa, d):
@@ -247,13 +254,14 @@ def test_rejects_nonfinite_tolerance(tol_d):
 def test_undetermined_probe_is_reported():
     model = BimodalLoads(0.5, 0.9, 0.25)
     assert not find_d_critical(model).undetermined_in_bracket
-    # 20 stages cannot resolve the slow dynamics near the threshold
-    res = find_d_critical(model, max_iter=20)
+    # at a fine resolution a probe lands so near the threshold that the
+    # 10,000 stages of the default budget cannot resolve its slow dynamics
+    res = find_d_critical(model, tol_d=1e-8)
     assert res.undetermined_in_bracket
-    assert model_verdict(model, res.d_high, max_iter=20) is Verdict.UNDETERMINED
+    assert model_verdict(model, res.d_high) is Verdict.UNDETERMINED
     # a one-mode search runs no stage, so it is never Undetermined
-    assert find_d_critical(DeltaLoads(0.8), max_iter=20) == find_d_critical(DeltaLoads(0.8))
     assert not find_d_critical(DeltaLoads(0.8)).undetermined_in_bracket
+    assert not find_d_critical(DeltaLoads(0.8), tol_d=1e-8).undetermined_in_bracket
 
 
 def test_sweeps_carry_the_undetermined_flag():
@@ -393,11 +401,15 @@ def test_each_level_is_probed_once(monkeypatch, model, expected):
 ], ids=repr)
 def test_bracket_endpoints_hold_on_a_fresh_evaluation(model, tol_d, max_iter):
     # the search never checks its endpoints again, so a fresh evaluation must
-    # agree with the probes that set them (max_iter is cut at 1e-18 to keep
-    # the test fast)
-    res = find_d_critical(model, tol_d=tol_d, max_iter=max_iter)
-    assert model_verdict(model, res.d_low, max_iter=max_iter) is Verdict.SURVIVES
-    assert model_verdict(model, res.d_high, max_iter=max_iter) is not Verdict.SURVIVES
+    # agree with the probes that set them; the verdict-only loop at a budget
+    # of max_iter stages (a one-mode model as two equal modes) may leave an
+    # endpoint Undetermined, but never turns it over
+    res = find_d_critical(model, tol_d=tol_d)
+    assert model_verdict(model, res.d_low) is Verdict.SURVIVES
+    assert model_verdict(model, res.d_high) is not Verdict.SURVIVES
+    modes = _modes(model)
+    assert meanfield.bimodal_verdict(*modes, res.d_low, max_iter) is not Verdict.COMPLETE_OUTAGE
+    assert meanfield.bimodal_verdict(*modes, res.d_high, max_iter) is not Verdict.SURVIVES
     if tol_d < 1e-17:
         assert math.nextafter(res.d_low, math.inf) >= res.d_high
 
@@ -472,9 +484,15 @@ def test_a_search_checks_its_model_at_most_once(monkeypatch, model, checks):
 ])
 def test_a_probe_checks_d_m_then_the_budget_for_either_model(model, d_m, max_iter, tol,
                                                             message):
-    # a DeltaLoads probe used to return COMPLETE_OUTAGE at max_iter=0
+    """The search's probe, ``model_verdict``, takes no budget and checks d_m
+    alone; the verdict-only loop of a two-mode probe, given a budget (a
+    one-mode model as two equal modes), checks d_m, then max_iter, then
+    tol."""
     with pytest.raises(ValueError, match=f"^{message} "):
-        model_verdict(model, d_m, max_iter=max_iter, tol=tol)
+        meanfield.bimodal_verdict(*_modes(model), d_m, max_iter, tol)
+    if message == "disturbance mean":
+        with pytest.raises(ValueError, match=f"^{message} "):
+            model_verdict(model, d_m)
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -496,6 +514,17 @@ def test_fixed_mean_sweep_rejects_bad_input_before_any_search(monkeypatch, kwarg
     with pytest.raises(ValueError) as err:
         sweep_bimodal_fixed_mean(**args)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("a0_grid,bad", [
+    ([0.5, 0.6, math.nan], "nan"), ([0.5, 1.0], "1.0"), ([0.5, "0.6"], "'0.6'")])
+def test_unimodal_sweep_rejects_bad_input_before_any_search(monkeypatch, a0_grid, bad):
+    """A bad level used to be found only as its model was built, after the
+    searches of the levels before it."""
+    monkeypatch.setattr(threshold, "find_d_critical", lambda *a, **k: pytest.fail("searched"))
+    with pytest.raises(ValueError) as err:
+        sweep_dcrit_vs_a0(a0_grid)
+    assert str(err.value) == f"a0 must be a number in (0, 1), got {bad}"
 
 
 def test_sweeps_check_the_resolution_up_front():
