@@ -25,21 +25,24 @@ three branches, in order, one phase each:
 
 ``bimodal_verdict`` checks its inputs once (the model, then d_m, then the
 stage budget), then runs ``_two_mode``, which iterates these scalars in
-locals, one loop per phase, from ``_init``'s stage 1 to the verdict. That
-is the one entry into the stage loops. Constant loads are the one-atom
-case of the same recursion: ``run_recursion`` is the run with b0 = a0 and
-pa = 1. A threshold probe (``threshold.model_verdict``) runs ``_two_mode``
-on the default budget (``MAX_ITER``, ``TOL``) after checking d_m alone:
-its model was checked when it was built, and the search checks it once
-more. Given a list, a loop appends
-each stage as a plain row ``(n, a_n, p_n, D_n, mu_prev, b_n, branch,
-p_tilde)``, mu_prev being the mu that produced D_n and p_tilde the failing
-mass of an UPPER_DIES stage (else nan). An outage exit that computes no
-stage appends the last row again, one stage on. ``run_bimodal`` returns
-the rows as a trace: one state per row, the row's fields followed by the
-verdict; ``run_recursion`` keeps the first five fields of each row.
+locals from ``_init``'s stage 1 to the verdict. Phases 1 and 3 are one
+stage loop: once the b-mode is dead the loop runs again at pa = 1 with b
+riding on a, which computes the one-mode form on the lower floor bit for
+bit, as 1.0*q(a) + 0.0*q(a) is q(a). That is the one entry into the stage
+loop. Constant loads are the one-atom case of the same recursion:
+``run_recursion`` is the run with b0 = a0 and pa = 1. A threshold probe
+(``threshold.model_verdict``) runs ``_two_mode`` on the default budget
+(``MAX_ITER``, ``TOL``) after checking d_m alone: its model was checked
+when it was built, and the search checks it once more. Given a list, the
+loop appends each stage as a plain row ``(n, a_n, p_n, D_n, mu_prev, b_n,
+branch, p_tilde)``, mu_prev being the mu that produced D_n and p_tilde the
+failing mass of an UPPER_DIES stage (else nan). An outage exit that
+computes no stage appends the last row again, one stage on.
+``run_bimodal`` returns the rows as a trace: one state per row, the row's
+fields followed by the verdict; ``run_recursion`` keeps the first five
+fields of each row.
 
-Without a list (the threshold search's two-mode probes) a loop may stop
+Without a list (the threshold search's two-mode probes) the loop may stop
 a surviving run early, with the verdict the remaining stages would reach:
 SURVIVES once ``_survival_proven`` shows p_n falling below ``tol`` within
 the stage budget with the floors below capacity. Every other exit is the
@@ -192,7 +195,9 @@ def _survival_proven(a: float, b: float, pa: float, p: float, D: float, d_m: flo
     probability tol <= p < 1 and pending shift D, must return SURVIVES
     within ``stages`` loop passes, this one included. The floors are a and
     b: a fraction pa of the nodes at a and the rest at b while b < 1, only
-    a once b = 1 (phase 3 of ``_two_mode`` passes b = 1).
+    a once b = 1. Phase 3 of ``_two_mode`` passes b = a at pa = 1, which
+    gives the same top floor a and the same q as b = 1, as 1.0*q + 0.0*q
+    is q.
 
     Every later mean failed load is at most M = 1 + max(D, X)/2, X =
     p/(1-p)*(1+d_m) the largest later shift, as x/expm1(x) >= 1 - x/2; so
@@ -300,20 +305,25 @@ def _two_mode(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: f
     1. BOTH_ALIVE while the shift leaves the upper floor below capacity;
     2. one UPPER_DIES stage once the shift reaches it (an outage if pa = 0),
        or none if b + D rounded to 1 in phase 1;
-    3. LOWER_ONLY: the phase-1 loop on the lower floor alone.
+    3. LOWER_ONLY: the phase-1 loop again, at pa = 1 with b = a.
 
     A run with equal modes (b0 = a0) ends in phase 1: its floors reach
-    capacity together. Phases 1 and 3 write the stage formulas inline (the
-    loops run in the threshold search's two-mode probes), one expm1 per
-    stage: p = q/(1-q) * e, e = expm1(D/d_m) carried from the last stage
-    and q the failing mass of the shifted floors, pa*q(a) + (1-pa)*q(b) in
-    phase 1 and q(a) in phase 3, q(x) = exp(-(1-x)/d_m). The next stage's
-    mu = 1 + d_m - D/e is ``mean_failed_load`` without its guards (p >= tol
-    > 0 makes e > 0, and an infinite e gives D/e = 0), except after
-    UPPER_DIES, which computes no e: it hands phase 3 e = 0, and the
-    division by zero falls back to ``mean_failed_load``.
+    capacity together. The loop writes the stage formulas inline (it runs
+    in the threshold search's two-mode probes), one expm1 per stage: p =
+    q/(1-q) * e, e = expm1(D/d_m) carried from the last stage and q =
+    pa*q(a) + (1-pa)*q(b) the failing mass of the shifted floors, q(x) =
+    exp(-(1-x)/d_m). In phase 3 b rides on a, both shifted by the same D,
+    so q is 1.0*q(a) + 0.0*q(a) = q(a) exactly: the one-mode formula on
+    the lower floor. Its rows show b = 1, the clamped dead floor. Its exit
+    on D >= 1 - b is the outage exit on D >= 1 - a that follows the loop,
+    so UPPER_DIES runs at most once. The next stage's mu = 1 + d_m - D/e
+    is ``mean_failed_load`` without its guards (p >= tol > 0 makes e > 0,
+    and an infinite e gives D/e = 0), except after UPPER_DIES, which
+    computes no e: it hands phase 3 e = 0, and the division by zero falls
+    back to ``mean_failed_load``. Phase 1 never divides by e = 0: an e of
+    0 makes p 0, and the next pass returns SURVIVES first.
 
-    The loops take mu0 = 1 + d_m once and write q(x) as exp((x - 1)/d_m);
+    The loop takes mu0 = 1 + d_m once and writes q(x) as exp((x - 1)/d_m);
     both are the stage formulas bit for bit. Python evaluates 1 + d_m - D/e
     as (1 + d_m) - D/e, and round-to-nearest is symmetric in sign, so x - 1
     is -(1 - x) exactly, except at x = 1: there they are +0 and -0, and exp
@@ -334,87 +344,67 @@ def _two_mode(a0: float, b0: float, pa: float, d_m: float, max_iter: int, tol: f
     pb, mu0 = 1.0 - pa, 1.0 + d_m
     exp, expm1, nan = math.exp, math.expm1, math.nan
     n, a, p, D, mu = row
-    b = b0
+    b, branch = b0, BOTH_ALIVE
     cut = tol if rows is not None else max(1e-3, tol)
-    for _ in range(max_iter):
-        if p < cut:
-            if p < tol or _survival_proven(a, b, pa, p, D, d_m, tol, max_iter - n + 1):
-                return SURVIVES
-            cut = max(p / 16.0, tol)
-        if not D < 1.0 - b:  # else b + D below rounds to at most 1: no clamp
-            break
-        a += D
-        b += D
-        n += 1
-        try:
-            mu = mu0 - D / e
-            D = p / (1.0 - p) * mu
-            q = pa * exp((a - 1.0) / d_m) + pb * exp((b - 1.0) / d_m)
-            e = expm1(D / d_m)
-            p = q / (1.0 - q) * e
-        except (OverflowError, ZeroDivisionError):
-            return _renumbered_outage(rows)
-        if rows is not None:
-            rows.append((n, a, p, D, mu, b, BOTH_ALIVE, nan))
-        if not 0.0 <= p < 1.0 or a >= 1.0:
-            return COMPLETE_OUTAGE
-    else:
-        return UNDETERMINED
-    if b < 1.0:  # the shift reaches the upper floor this pass
-        if not D < 1.0 - a:  # and the lower one: the remaining mass fails
-            return _renumbered_outage(rows)
-        if pa == 0.0:
-            # no lower mode: killing the upper mode kills everyone
-            if rows is not None:
-                rows.append((n + 1, a, p, D, mu, 1.0, UPPER_DIES, nan))
-            return COMPLETE_OUTAGE
-        a_next = a + D
-        try:
-            qa, qa_next, qb = (
-                exp(-(1.0 - a) / d_m), exp(-(1.0 - a_next) / d_m), exp(-(1.0 - b) / d_m))
-            # failing mass this stage: the slice of the a-mode crossing
-            # capacity plus the entire remaining b-mode
-            p_tilde = pa * (exp(-(1.0 - a - D) / d_m) - qa) + pb * (1.0 - qb)
-            num = (
-                pa * qa_next * (1.0 + d_m - (1.0 + D + d_m) * exp(-D / d_m))
-                + pb * (b + D + d_m - (1.0 + D + d_m) * qb)
-            )
-            mu = num / p_tilde if p_tilde > 0 else 1.0 + d_m
-            D = p / (1.0 - p) * mu
-            p = 1.0 - pa * (1.0 - qa_next) / (1.0 - (pa * qa + pb))
-        except (OverflowError, ZeroDivisionError):
-            return _renumbered_outage(rows)
-        a, e, n = a_next, 0.0, n + 1
-        if rows is not None:
-            rows.append((n, a, p, D, mu, 1.0, UPPER_DIES, p_tilde))
-        if not 0.0 <= p < 1.0 or a >= 1.0:
-            return COMPLETE_OUTAGE
-    # LOWER_ONLY: the upper mode is dead, b = 1
-    for _ in range(max_iter - n + 1):
-        if p < cut:
-            if p < tol or _survival_proven(a, 1.0, 1.0, p, D, d_m, tol, max_iter - n + 1):
-                return SURVIVES
-            cut = max(p / 16.0, tol)
-        if not D < 1.0 - a:  # a < 1 here: every stage exits on a >= 1
-            return _renumbered_outage(rows)
-        a += D
-        n += 1
-        try:
+    while True:  # phase 1, then phase 3 as the same loop at pa = 1
+        for _ in range(max_iter - n + 1):
+            if p < cut:
+                if p < tol or _survival_proven(a, b, pa, p, D, d_m, tol, max_iter - n + 1):
+                    return SURVIVES
+                cut = max(p / 16.0, tol)
+            if not D < 1.0 - b:  # else b + D below rounds to at most 1: no clamp
+                break
+            a += D
+            b += D
+            n += 1
             try:
-                mu = mu0 - D / e
-            except ZeroDivisionError:  # e = 0: UPPER_DIES computed none
-                mu = mean_failed_load(D, d_m)
-            D = p / (1.0 - p) * mu
-            q = exp((a - 1.0) / d_m)
-            e = expm1(D / d_m)
-            p = q / (1.0 - q) * e
-        except (OverflowError, ZeroDivisionError):  # q rounds to 1.0 as a does
-            return _renumbered_outage(rows)
-        if rows is not None:
-            rows.append((n, a, p, D, mu, 1.0, LOWER_ONLY, nan))
-        if not p < 1.0 or a >= 1.0:  # p >= 0, as e >= 0 and q <= 1 (a <= 1)
-            return COMPLETE_OUTAGE
-    return UNDETERMINED
+                try:
+                    mu = mu0 - D / e
+                except ZeroDivisionError:  # e = 0: UPPER_DIES computed none
+                    mu = mean_failed_load(D, d_m)
+                D = p / (1.0 - p) * mu
+                q = pa * exp((a - 1.0) / d_m) + pb * exp((b - 1.0) / d_m)
+                e = expm1(D / d_m)
+                p = q / (1.0 - q) * e
+            except (OverflowError, ZeroDivisionError):
+                return _renumbered_outage(rows)
+            if rows is not None:
+                rows.append((n, a, p, D, mu, b if branch is BOTH_ALIVE else 1.0, branch, nan))
+            if not 0.0 <= p < 1.0 or a >= 1.0:
+                return COMPLETE_OUTAGE
+        else:
+            return UNDETERMINED
+        if b < 1.0:  # the shift reaches the upper floor this pass
+            if not D < 1.0 - a:  # and the lower one: the remaining mass fails
+                return _renumbered_outage(rows)
+            if pa == 0.0:
+                # no lower mode: killing the upper mode kills everyone
+                if rows is not None:
+                    rows.append((n + 1, a, p, D, mu, 1.0, UPPER_DIES, nan))
+                return COMPLETE_OUTAGE
+            a_next = a + D
+            try:
+                qa, qa_next, qb = (
+                    exp(-(1.0 - a) / d_m), exp(-(1.0 - a_next) / d_m), exp(-(1.0 - b) / d_m))
+                # failing mass this stage: the slice of the a-mode crossing
+                # capacity plus the entire remaining b-mode
+                p_tilde = pa * (exp(-(1.0 - a - D) / d_m) - qa) + pb * (1.0 - qb)
+                num = (
+                    pa * qa_next * (1.0 + d_m - (1.0 + D + d_m) * exp(-D / d_m))
+                    + pb * (b + D + d_m - (1.0 + D + d_m) * qb)
+                )
+                mu = num / p_tilde if p_tilde > 0 else 1.0 + d_m
+                D = p / (1.0 - p) * mu
+                p = 1.0 - pa * (1.0 - qa_next) / (1.0 - (pa * qa + pb))
+            except (OverflowError, ZeroDivisionError):
+                return _renumbered_outage(rows)
+            a, e, n = a_next, 0.0, n + 1
+            if rows is not None:
+                rows.append((n, a, p, D, mu, 1.0, UPPER_DIES, p_tilde))
+            if not 0.0 <= p < 1.0 or a >= 1.0:
+                return COMPLETE_OUTAGE
+        # LOWER_ONLY: the upper mode is dead; b rides on a < 1 with no weight
+        pa, pb, b, branch = 1.0, 0.0, a, LOWER_ONLY
 
 
 def run_bimodal(

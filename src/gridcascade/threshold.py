@@ -83,7 +83,9 @@ def find_d_critical(model: MeanFieldModel, tol_d: float = 1e-4) -> ThresholdResu
     verdict recorded; the verdict is a pure function of ``(model, d)``, so
     a re-run could only repeat it. Only a surviving probe ever becomes
     d_low and only a failing one d_high, so the bracket needs no final
-    check. Bisection stops at ``tol_d`` or at two adjacent floats,
+    check. The one exception is the no-headroom exit: when every scan
+    level down to 1e-15 fails, the result is (0.0, 0.0, 1e-15), and
+    neither endpoint is a probe. Bisection stops at ``tol_d`` or at two adjacent floats,
     whichever comes first. ``undetermined_in_bracket`` reports whether any
     (two-mode) probe came back Undetermined, and ``evaluations`` counts
     the levels evaluated. A two-mode model, then ``tol_d``, are checked

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import pytest
 
 from gridcascade import Branch, Verdict, run_bimodal, run_recursion
+from gridcascade.meanfield import bimodal_verdict
 
 
 def stage_one(*args):
@@ -118,3 +120,30 @@ def test_nonfinite_inputs_are_rejected(bad, slot):
 def test_bad_tolerance_is_rejected(tol):
     with pytest.raises(ValueError):
         run_bimodal(0.5, 0.9, 0.25, 0.015, tol=tol)
+
+
+# sha256 of repr((verdict, rows)) of each traced bimodal_verdict run, then
+# the verdict of the same run without rows, over a grid whose supercritical
+# corner kills the upper mode: 240 of its 1,512 runs reach LOWER_ONLY (all
+# through UPPER_DIES), with 2,304 such rows, and end in 167 survivals, 70
+# outages and 3 Undetermined runs. Recorded from the two-mode loop that ran
+# its LOWER_ONLY phase as a second, hand-written loop.
+LOWER_ONLY_GOLDEN = "ce604e787f4bf4b1dd1d2589efd347e9da8f704bb7cc11835759dd5ce14e905f"
+
+
+def test_lower_only_phase_matches_golden_digest():
+    h = hashlib.sha256()
+    reached = 0
+    for a0 in (0.1, 0.3, 0.5, 0.65):
+        for b0 in (0.92, 0.97, 0.995):
+            for pa in (0.5, 0.8, 0.95):
+                for k in range(21):
+                    d_m = 0.005 * 1.25 ** k
+                    for max_iter in (50, 10_000):
+                        rows = []
+                        verdict = bimodal_verdict(a0, b0, pa, d_m, max_iter, rows=rows)
+                        h.update(repr((verdict, rows)).encode())
+                        h.update(repr(bimodal_verdict(a0, b0, pa, d_m, max_iter)).encode())
+                        reached += any(row[6] is Branch.LOWER_ONLY for row in rows)
+    assert reached >= 200
+    assert h.hexdigest() == LOWER_ONLY_GOLDEN
