@@ -24,12 +24,15 @@ loop, ``_cascade``. Monte Carlo trial ``k`` draws from its own substream,
 ``trial_rng(seed, k)``: first the graph's edge weights, then the loads, then
 the shocks. None of these draws depends on the edge probability, so
 ``monte_carlo`` runs a sequence of edge probabilities trial by trial: one
-draw and one check of its loads, then one ``_cascade`` per probability.
+draw and one check of its loads, then one ``_cascade`` per probability. It
+checks its arguments, then that its trials fit (``check_trial``: array
+size and total load), before it draws a trial or starts a pool.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -118,6 +121,27 @@ def _total(loads: np.ndarray) -> float:
     return total
 
 
+# above numpy's largest standard exponential: the ziggurat tail 7.697 - log1p(-u) <= 44.434
+SHOCK_MAX = 64.0
+
+
+def check_trial(n: int, ps: Sequence[float], d_m: float) -> None:
+    """Raise ValueError unless a trial of ``n`` nodes at edge probabilities
+    ``ps`` fits: its largest array (8*n bytes of loads if every ``p`` is 1,
+    else 8*n*n of edge weights) within sys.maxsize bytes, the most any array
+    can index, and n*(1 + SHOCK_MAX*d_m) below the largest float, as every
+    initial load is below 1 and every shock below SHOCK_MAX*d_m."""
+    if all(p == 1.0 for p in ps):
+        most, size = sys.maxsize // 8, "8*n bytes of loads"
+    else:
+        most, size = math.isqrt(sys.maxsize // 8), "8*n*n bytes of edge weights"
+    if n > most:
+        raise ValueError(f"nodes must be at most {most} ({size} within sys.maxsize), got {n}")
+    if n > sys.float_info.max / (1.0 + SHOCK_MAX * float(d_m)):  # int vs float: exact
+        raise ValueError(f"d_m: {d_m} on {n} nodes can overflow the total load; need "
+                         f"nodes * (1 + {SHOCK_MAX:g} * d_m) < {sys.float_info.max:g}")
+
+
 # --- cascade stepping -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -180,6 +204,7 @@ def run_cascade(adj: np.ndarray | None, loads: np.ndarray) -> CascadeOutcome:
     loads = np.array(loads, dtype=np.float64)
     if loads.ndim != 1:
         raise ValueError(f"loads must be 1-D, got shape {loads.shape}")
+    adj = None if adj is None else np.asarray(adj)  # a nested list runs as its array
     if adj is not None and adj.shape != (loads.size,) * 2:
         raise ValueError(f"adjacency of shape {adj.shape} does not match {loads.size} loads")
     total = _total(loads)
@@ -299,6 +324,7 @@ def monte_carlo(
         raise TypeError(f"spec must be a load distribution spec, got {spec!r}")
     check_count("master_seed", master_seed, 0)
     check_count("workers", workers)
+    check_trial(n, ps, d_m)
     run, ks = partial(_trials, n, ps, spec, d_m, master_seed), range(trials)
     # a pool forks all its workers at the first submit: one per chunk at most
     workers = min(workers, (trials + 7) // 8)

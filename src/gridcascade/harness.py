@@ -11,10 +11,10 @@ Subcommands map one-to-one onto plot-ready tables:
     sweep-bimodal       d_critical over a fixed-mean two-mode grid
 
 Each subcommand's schema in ``COMMANDS`` gives every config key a rule and
-a default; ``validate`` applies them before any work runs. The number rules
-are the library's own input checks, so a bad value exits 1 with the message
-the library would raise, and a model's fields are checked by its
-constructor.
+a default; ``validate`` applies them before any work runs. The rules are
+the library's own input checks, so a bad value exits 1 with the message
+the library would raise: a model's fields are checked by its constructor,
+and a ``simulate`` grid's largest trial by ``monte_carlo``'s ``check_trial``.
 
 All numbers are serialized with 17 significant digits, so re-running a
 command with the same config and seed reproduces every table byte for
@@ -45,6 +45,7 @@ from .cascade import (
     BimodalLoads,
     DeltaLoads,
     UniformLoads,
+    check_trial,
     monte_carlo,
 )
 from .meanfield import (
@@ -107,27 +108,24 @@ REQUIRED = object()  # the default of a key that must be given
 
 
 def _apply(keys: dict, cfg: dict, model: type | None = None) -> dict:
-    """The checked values of ``cfg``; ``keys`` maps each key to ``(rule,
-    default)``. The fields of ``model`` are required keys that build
-    ``values["model"]``, whose constructor checks them, once."""
+    """The checked values of ``cfg``, or ValueError; ``keys`` maps each key
+    to ``(rule, default)``. The fields of ``model`` are required keys that
+    build ``values["model"]``, whose constructor checks them, once."""
     fields = [f.name for f in dataclasses.fields(model)] if model else []
     keys = {**keys, **dict.fromkeys(fields, (None, REQUIRED))}
     unknown = sorted(set(cfg) - set(keys))
     if unknown:
         raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))}")
     values = {}
-    try:
-        for key, (rule, default) in keys.items():
-            if key in cfg:
-                values[key] = rule(key, cfg[key]) if rule else cfg[key]
-            elif default is REQUIRED:
-                raise ConfigError(f"missing required key '{key}'")
-            else:
-                values[key] = default
-        if model:
-            values["model"] = model(**{name: values[name] for name in fields})
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    for key, (rule, default) in keys.items():
+        if key in cfg:
+            values[key] = rule(key, cfg[key]) if rule else cfg[key]
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required key '{key}'")
+        else:
+            values[key] = default
+    if model:
+        values["model"] = model(**{name: values[name] for name in fields})
     return values
 
 
@@ -330,7 +328,6 @@ def cmd_sweep_dcrit(v: dict, writer: OutputWriter, workers: int) -> dict:
     # manifest only: the table stays byte-identical
     return {
         "points": len(rows),
-        "undetermined_searches": sum(r.undetermined_in_bracket for r in rows),
         "evaluations": sum(r.evaluations for r in rows),
     }
 
@@ -385,34 +382,16 @@ COMMANDS = {
 }
 
 
-# Above the largest standard exponential numpy draws: its ziggurat tail is
-# r - log1p(-u) with r = 7.697 and u <= 1 - 2**-53, so at most 44.434.
-SHOCK_MAX = 64.0
-
-
 def validate(command: str, cfg: dict) -> dict:
     """The checked values of ``cfg`` for ``command``, or ConfigError. The
     library accepts every value that passes: a later ValueError is a fault."""
     _, keys, model = COMMANDS[command]
-    values = _apply(keys, cfg, model)
-    if command == "simulate":
-        n, d_m = max(values["nodes"]), max(values["d_m"])
-        # a trial's largest array is its n float64 loads if every edge_prob
-        # is 1, else the n x n weights; none may pass sys.maxsize bytes, the
-        # most any array can index, whatever this machine's memory
-        if all(p == 1.0 for p in values["edge_prob"]):
-            most, size = sys.maxsize // 8, "8*n bytes of loads"
-        else:
-            most, size = math.isqrt(sys.maxsize // 8), "8*n*n bytes of edge weights"
-        if n > most:
-            raise ConfigError(
-                f"nodes must be at most {most} ({size} within sys.maxsize), got {n}")
-        # every initial load is below 1 and every shock below SHOCK_MAX*d_m,
-        # so this bound keeps each trial's total load finite
-        if n > sys.float_info.max / (1.0 + SHOCK_MAX * d_m):  # int vs float: exact
-            raise ConfigError(
-                f"d_m: {d_m} on {n} nodes can overflow the total load; "
-                f"need max(nodes) * (1 + {SHOCK_MAX:g} * max(d_m)) < {sys.float_info.max:g}")
+    try:
+        values = _apply(keys, cfg, model)
+        if command == "simulate":  # the grid's largest trial, as monte_carlo checks it
+            check_trial(max(values["nodes"]), values["edge_prob"], max(values["d_m"]))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     return values
 
 

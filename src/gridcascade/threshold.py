@@ -16,6 +16,7 @@ recursion is slowest) is conservatively counted as a failure.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .cascade import BimodalLoads, DeltaLoads
@@ -71,6 +72,14 @@ def model_verdict(model: MeanFieldModel, d_m: float) -> Verdict:
     return _two_mode(model.a0, model.b0, model.pa, d_m, MAX_ITER, TOL, None)
 
 
+def _check_model(model: MeanFieldModel) -> None:
+    """The check of a search's or a scan's model, which its probes skip."""
+    if not isinstance(model, MeanFieldModel):
+        raise TypeError(f"model must be a DeltaLoads or a BimodalLoads, got {model!r}")
+    if isinstance(model, BimodalLoads):
+        check_modes(model.a0, model.b0, model.pa)
+
+
 def _fails(v: Verdict) -> bool:
     # Undetermined counts as failure: conservative resilience estimate
     return v is not SURVIVES
@@ -88,12 +97,9 @@ def find_d_critical(model: MeanFieldModel, tol_d: float = 1e-4) -> ThresholdResu
     neither endpoint is a probe. Bisection stops at ``tol_d`` or at two adjacent floats,
     whichever comes first. ``undetermined_in_bracket`` reports whether any
     (two-mode) probe came back Undetermined, and ``evaluations`` counts
-    the levels evaluated. A two-mode model, then ``tol_d``, are checked
-    before the first probe."""
-    if not isinstance(model, MeanFieldModel):
-        raise TypeError(f"model must be a DeltaLoads or a BimodalLoads, got {model!r}")
-    if isinstance(model, BimodalLoads):  # once per search: its probes do not check it
-        check_modes(model.a0, model.b0, model.pa)
+    the levels evaluated. The model, then ``tol_d``, are checked before
+    the first probe."""
+    _check_model(model)
     check_positive("tol_d", tol_d)
     probes: dict[float, Verdict] = {}
 
@@ -134,6 +140,7 @@ def find_d_critical(model: MeanFieldModel, tol_d: float = 1e-4) -> ThresholdResu
 
 def coarse_scan(model: MeanFieldModel, d_values: list[float]) -> list[tuple[float, Verdict]]:
     """Linear verdict scan; raises NonMonotoneError on more than one flip."""
+    _check_model(model)
     out = [(d, model_verdict(model, d)) for d in d_values]
     flips = sum(
         1 for (_, v1), (_, v2) in zip(out, out[1:]) if _fails(v1) != _fails(v2)
@@ -148,23 +155,18 @@ class UnimodalSweepRow:
     a0: float
     d_critical: float
     headroom: float  # excess capacity 1 - a0
-    undetermined_in_bracket: bool = False
     evaluations: int = 0  # of the search, for the manifest only
 
 
-def sweep_dcrit_vs_a0(a0_grid: list[float], tol_d: float = 1e-4) -> list[UnimodalSweepRow]:
+def sweep_dcrit_vs_a0(a0_grid: Iterable[float], tol_d: float = 1e-4) -> list[UnimodalSweepRow]:
     """Critical disturbance for each constant-load level. The inputs are
     checked before the first search: every level must be a number in
     (0, 1), and ``tol_d`` a finite number > 0."""
-    for a0 in a0_grid:
-        check_level("a0", a0)
+    a0_grid = [check_level("a0", a0) for a0 in a0_grid]  # an iterator is read once
     check_positive("tol_d", tol_d)
-    rows = []
-    for a0 in a0_grid:
-        res = find_d_critical(DeltaLoads(a0), tol_d=tol_d)
-        rows.append(UnimodalSweepRow(a0, res.d_critical, 1.0 - a0,
-                                     res.undetermined_in_bracket, res.evaluations))
-    return rows
+    searches = [find_d_critical(DeltaLoads(a0), tol_d=tol_d) for a0 in a0_grid]
+    return [UnimodalSweepRow(a0, res.d_critical, 1.0 - a0, res.evaluations)
+            for a0, res in zip(a0_grid, searches)]
 
 
 @dataclass(frozen=True)
@@ -180,8 +182,8 @@ class FixedMeanSweepRow:
 
 def sweep_bimodal_fixed_mean(
     mean: float,
-    a0_grid: list[float],
-    b0_grid: list[float],
+    a0_grid: Iterable[float],
+    b0_grid: Iterable[float],
     tol_d: float = 1e-4,
 ) -> list[FixedMeanSweepRow]:
     """Critical disturbance over two-mode splits with a fixed mean load.
@@ -199,10 +201,8 @@ def sweep_bimodal_fixed_mean(
     finite number > 0. A finite mean outside (0, 1) gives infeasible rows.
     """
     check_finite("mean", mean)
-    for x in a0_grid:
-        check_level("a0", x)
-    for x in b0_grid:
-        check_level("b0", x)
+    a0_grid = [check_level("a0", x) for x in a0_grid]  # an iterator is read once
+    b0_grid = [check_level("b0", x) for x in b0_grid]
     check_positive("tol_d", tol_d)
     rows = []
     for a0 in a0_grid:

@@ -224,6 +224,15 @@ def test_run_cascade_rejects_misshapen_input(adj, loads, message):
         run_cascade(adj, loads)
 
 
+def test_run_cascade_reads_a_nested_list_adjacency_as_its_array():
+    # a list used to raise AttributeError at the shape check
+    adj = generate_er_graph(30, 0.3, np.random.default_rng(2))
+    loads = np.random.default_rng(3).random(30) * 1.5
+    assert run_cascade(adj.tolist(), loads) == run_cascade(adj, loads)
+    with pytest.raises(ValueError):
+        run_cascade([[False, True], [True]], np.full(2, 0.5))  # ragged
+
+
 def test_run_cascade_rejects_negative_loads():
     with pytest.raises(ValueError):
         run_cascade(k3(), np.array([-0.1, 0.5, 0.6]))
@@ -682,6 +691,17 @@ def test_grid_rejects_any_bad_edge_prob_before_any_trial(monkeypatch, workers, p
     (0.1, UniformLoads(), ValueError, "workers", {"workers": 0}),
     (0.1, UniformLoads(), ValueError, "workers", {"workers": -2}),
     (0.1, UniformLoads(), ValueError, "workers", {"workers": 1.5}),
+    # good values whose trial cannot be drawn: a trial's largest array passes
+    # sys.maxsize bytes, or a shock or the total load can overflow float64.
+    # These used to start a pool and fail in a trial
+    (1e307, UniformLoads(), ValueError, "^d_m: 1e\\+307 on 100 nodes", {"n": 100}),
+    (0.1, UniformLoads(), ValueError, "^nodes must be at most", {"n": 2**40}),
+    (0.1, UniformLoads(), ValueError, "^nodes must be at most", {"n": 10**30, "p": 1.0}),
+    (1e308, UniformLoads(), ValueError, "overflow the total load", {"n": 20}),
+    (1e308, UniformLoads(), ValueError, "overflow the total load", {"n": 20, "p": (0.5, 1.0)}),
+    (1e306, UniformLoads(), ValueError, "overflow the total load", {"n": 1000, "p": 0.0}),
+    (1e306, UniformLoads(), ValueError, "overflow the total load",
+     {"n": 1000, "p": (0.0, 1.0)}),
 ])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_monte_carlo_rejects_a_bad_disturbance_or_spec_before_any_trial(
@@ -692,7 +712,8 @@ def test_monte_carlo_rejects_a_bad_disturbance_or_spec_before_any_trial(
     monkeypatch.setattr(cascade, "_trials", no_trials)
     monkeypatch.setattr(cascade, "ProcessPoolExecutor", no_trials)
     with pytest.raises(error, match=match):
-        monte_carlo(10, 0.5, spec, d_m, 20, **{"master_seed": 1, "workers": workers, **overrides})
+        monte_carlo(**{"n": 10, "p": 0.5, "spec": spec, "d_m": d_m, "trials": 20,
+                       "master_seed": 1, "workers": workers, **overrides})
 
 
 @pytest.mark.parametrize("arg,value", [
@@ -719,7 +740,8 @@ def test_monte_carlo_takes_numpy_integer_counts():
         monte_carlo(10, 0.5, UniformLoads(), 0.1, 6, 3)
 
 
-# shocked loads that only the per-trial check of the draw guards: one shock
+# shocked loads that check_trial turns away up front (the cases above); with
+# it bypassed, the per-trial check of the draw still guards them: one shock
 # overflows to inf, or every load is finite and their total is not
 @pytest.mark.parametrize("n,d_m,p,match", [
     (20, 1e308, 0.5, "loads must be finite"),
@@ -728,7 +750,9 @@ def test_monte_carlo_takes_numpy_integer_counts():
     (1000, 1e306, (0.0, 1.0), "total load must be finite"),
 ])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_monte_carlo_rejects_shocked_loads_that_are_not_finite(workers, n, d_m, p, match):
+def test_monte_carlo_rejects_shocked_loads_that_are_not_finite(
+        monkeypatch, workers, n, d_m, p, match):
+    monkeypatch.setattr(cascade, "check_trial", lambda *args: None)
     with pytest.raises(ValueError, match=match):
         monte_carlo(n, p, UniformLoads(), d_m, 9, 0, workers=workers)  # 2 chunks: a pool
 

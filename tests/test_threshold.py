@@ -268,8 +268,8 @@ def test_sweeps_carry_the_undetermined_flag():
     (row,) = sweep_bimodal_fixed_mean(0.8, [0.5], [0.9], tol_d=1e-8)
     assert row.undetermined_in_bracket
     assert not sweep_bimodal_fixed_mean(0.8, [0.5], [0.9])[0].undetermined_in_bracket
-    # one-mode searches are never Undetermined
-    assert not sweep_dcrit_vs_a0([0.8], tol_d=1e-8)[0].undetermined_in_bracket
+    # one-mode searches are never Undetermined: their sweep's rows carry no flag
+    assert not hasattr(sweep_dcrit_vs_a0([0.8], tol_d=1e-8)[0], "undetermined_in_bracket")
     assert not sweep_bimodal_fixed_mean(0.8, [0.8], [0.8], tol_d=1e-8)[0].undetermined_in_bracket
 
 
@@ -294,6 +294,26 @@ def test_search_without_a_failing_level_raises(monkeypatch):
 def test_search_rejects_an_unsupported_model_before_any_probe(monkeypatch, model):
     stub_verdicts(monkeypatch, lambda d: pytest.fail(f"probed {model!r} at {d}"))
     with pytest.raises(TypeError, match="DeltaLoads or a BimodalLoads"):
+        find_d_critical(model)
+
+
+def _modes_past_their_check():
+    model = BimodalLoads(0.5, 0.9, 0.25)
+    object.__setattr__(model, "pa", 1.5)  # a frozen model, changed past its constructor
+    return model
+
+
+@pytest.mark.parametrize("model,error,match", [
+    (UniformLoads(), TypeError, "DeltaLoads or a BimodalLoads"),
+    (None, TypeError, "DeltaLoads or a BimodalLoads"),
+    ("x", TypeError, "DeltaLoads or a BimodalLoads"),  # used to raise AttributeError
+    (_modes_past_their_check(), ValueError, "pa must be a number in"),
+], ids=["uniform", "none", "str", "bad-pa"])
+def test_scan_rejects_an_unsupported_model_before_any_probe(monkeypatch, model, error, match):
+    stub_verdicts(monkeypatch, lambda d: pytest.fail(f"probed {model!r} at {d}"))
+    with pytest.raises(error, match=match):
+        coarse_scan(model, [0.1])
+    with pytest.raises(error, match=match):
         find_d_critical(model)
 
 
@@ -525,6 +545,17 @@ def test_unimodal_sweep_rejects_bad_input_before_any_search(monkeypatch, a0_grid
     with pytest.raises(ValueError) as err:
         sweep_dcrit_vs_a0(a0_grid)
     assert str(err.value) == f"a0 must be a number in (0, 1), got {bad}"
+
+
+@pytest.mark.parametrize("grid", [tuple, iter], ids=["tuple", "iterator"])
+def test_sweeps_take_a_grid_of_any_iterable(grid):
+    """A grid used to be read twice, once to check it and once to search it,
+    so an iterator was used up by the check and the sweep returned no row."""
+    assert sweep_dcrit_vs_a0(grid([0.5, 0.8])) == sweep_dcrit_vs_a0([0.5, 0.8])
+    rows = sweep_bimodal_fixed_mean(0.8, [0.6, 0.7], [0.85, 0.9])
+    assert len(rows) == 4 and all(r.feasible for r in rows)
+    assert sweep_bimodal_fixed_mean(0.8, grid([0.6, 0.7]), [0.85, 0.9]) == rows
+    assert sweep_bimodal_fixed_mean(0.8, [0.6, 0.7], grid([0.85, 0.9])) == rows
 
 
 def test_sweeps_check_the_resolution_up_front():
